@@ -574,14 +574,21 @@ int cmd_merge(int argc, char** argv) {
   return 0;
 }
 
+/// Parse a whole string as a number; false on empty input or trailing
+/// junk, so a typo can't silently become 0.
+bool parse_number(const char* text, double& value) {
+  char* end = nullptr;
+  value = std::strtod(text, &end);
+  return end != text && *end == '\0';
+}
+
 /// Split a "REGEX=VALUE" flag operand at its last '='.
 bool split_key_value(const std::string& arg, std::string& key,
                      double& value) {
   const auto eq = arg.rfind('=');
   if (eq == std::string::npos || eq == 0) return false;
   key = arg.substr(0, eq);
-  value = std::atof(arg.c_str() + eq + 1);
-  return true;
+  return parse_number(arg.c_str() + eq + 1, value);
 }
 
 /// Regression gate: diff a candidate report (run or sweep) against a
@@ -598,10 +605,16 @@ int cmd_compare(int argc, char** argv) {
     if (a == "--list-keys") {
       list_keys = true;
     } else if (a == "--tol" && i + 1 < argc) {
-      opts.tolerance = std::atof(argv[++i]);
+      if (!parse_number(argv[++i], opts.tolerance)) {
+        std::fprintf(stderr, "compare: --tol wants a number, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (a == "--tol-key" && i + 1 < argc) {
       if (!split_key_value(argv[++i], key, value)) {
-        std::fprintf(stderr, "compare: --tol-key wants REGEX=TOL\n");
+        std::fprintf(stderr,
+                     "compare: --tol-key wants REGEX=TOL, got '%s'\n",
+                     argv[i]);
         return 2;
       }
       opts.key_tolerances.emplace_back(key, value);
@@ -609,7 +622,9 @@ int cmd_compare(int argc, char** argv) {
       opts.ignore.emplace_back(argv[++i]);
     } else if (a == "--min-key" && i + 1 < argc) {
       if (!split_key_value(argv[++i], key, value)) {
-        std::fprintf(stderr, "compare: --min-key wants REGEX=BOUND\n");
+        std::fprintf(stderr,
+                     "compare: --min-key wants REGEX=BOUND, got '%s'\n",
+                     argv[i]);
         return 2;
       }
       opts.min_keys.emplace_back(key, value);

@@ -330,39 +330,6 @@ void emit_tally(std::ostringstream& out, const std::string& indent,
   out << (first ? "" : "\n" + indent) << "}";
 }
 
-/// histogram_quantile, restated over merged cross-run bins.
-double agg_quantile(double lo, double hi, std::uint64_t count, double min,
-                    double max, const std::vector<std::uint64_t>& bins,
-                    double q) {
-  if (count == 0 || bins.size() < 3) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double target = q * static_cast<double>(count);
-  const double width =
-      (hi - lo) / static_cast<double>(bins.size() - 2);
-  double cum = 0.0;
-  double value = max;
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    if (bins[i] == 0) continue;
-    const double next = cum + static_cast<double>(bins[i]);
-    if (next >= target) {
-      if (i == 0) {
-        value = min;
-      } else if (i == bins.size() - 1) {
-        value = max;
-      } else {
-        const double frac = (target - cum) / static_cast<double>(bins[i]);
-        value = lo + (static_cast<double>(i - 1) + frac) * width;
-      }
-      break;
-    }
-    cum = next;
-  }
-  if (value < min) value = min;
-  if (value > max) value = max;
-  return value;
-}
-
 }  // namespace
 
 std::string SweepAggregator::to_json() const {
@@ -570,14 +537,14 @@ std::string SweepAggregator::to_json() const {
     if (h.count == 0) continue;
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": {\"p50\": "
-        << json_number(
-               agg_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, 0.50))
+        << json_number(histogram_quantile(h.lo, h.hi, h.count, h.min, h.max,
+                                          h.bins, 0.50))
         << ", \"p90\": "
-        << json_number(
-               agg_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, 0.90))
+        << json_number(histogram_quantile(h.lo, h.hi, h.count, h.min, h.max,
+                                          h.bins, 0.90))
         << ", \"p99\": "
-        << json_number(
-               agg_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, 0.99))
+        << json_number(histogram_quantile(h.lo, h.hi, h.count, h.min, h.max,
+                                          h.bins, 0.99))
         << "}";
     first = false;
   }
@@ -774,6 +741,19 @@ CompareResult compare_reports(const JsonValue& baseline,
         continue;
       }
       matched = true;
+      // Floors don't apply to oversubscribed rows: when the row ran more
+      // threads than the host has, its speedup/efficiency measures the
+      // machine, not the engine.
+      const auto dot = key.rfind('.');
+      if (dot != std::string::npos && dot > 0) {
+        const auto flag = cand.find(key.substr(0, dot) + ".oversubscribed");
+        if (flag != cand.end() && flag->second.type == JsonValue::Type::Bool &&
+            flag->second.boolean) {
+          result.notes.push_back("floor skipped at " + key +
+                                 " (oversubscribed row)");
+          continue;
+        }
+      }
       if (c.number < floor) {
         result.failures.push_back("below floor at " + key + ": " +
                                   json_number(c.number) + " < " +

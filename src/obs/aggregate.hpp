@@ -184,8 +184,7 @@ class SweepAggregator {
 bool is_sweep_report(const JsonValue& doc);
 
 // ---------------------------------------------------------------------------
-// Baseline comparison (`wehey_cli compare`, mirrored by
-// tools/bench_compare.py).
+// Baseline comparison (`wehey_cli compare`).
 
 struct CompareOptions {
   /// Default relative tolerance for numeric drift (|cand - base| /
@@ -200,7 +199,9 @@ struct CompareOptions {
   std::vector<std::string> ignore;
   /// Floors: the candidate value at every key matching the regex must be
   /// >= the given bound (used for speedup gates, independent of the
-  /// baseline value).
+  /// baseline value). A match whose sibling `<parent>.oversubscribed` is
+  /// true is exempt (noted, still counted as a match): a row that ran
+  /// more threads than the host has measures the machine, not the engine.
   std::vector<std::pair<std::string, double>> min_keys;
   /// Existence assertions: each regex must match at least one flattened
   /// candidate key (of any type) or the comparison fails. Guards CI gates
@@ -219,9 +220,8 @@ struct CompareResult {
 
 /// All flattened dotted key paths of `doc`, in sorted order — the exact
 /// key space `compare_reports` matches its regexes against. Backs
-/// `wehey_cli compare --list-keys` (and mirrors bench_compare.py's
-/// --list-keys) for triaging require/min-key patterns that match
-/// nothing.
+/// `wehey_cli compare --list-keys` for triaging require/min-key patterns
+/// that match nothing.
 std::vector<std::string> flatten_keys(const JsonValue& doc);
 
 /// Diff `candidate` against `baseline`: both documents are flattened to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 
@@ -242,42 +243,37 @@ bool is_runtime_report(const JsonValue& doc) {
 
 namespace {
 
-/// histogram_quantile (metrics.cpp) re-implemented on the JSON shape, so
-/// v1 reports — which have bins but no "percentiles" section — inspect
-/// identically to v2.
-double bins_quantile(const JsonValue& h, double q) {
+/// A JSON bin or count as an unsigned count (negative, NaN and
+/// non-numeric values read as 0).
+std::uint64_t json_count(const JsonValue* v) {
+  const double x = v != nullptr ? v->num_or(0) : 0;
+  if (!(x > 0)) return 0;
+  return x < 0x1p64 ? static_cast<std::uint64_t>(x) : UINT64_MAX;
+}
+
+struct Quantiles {
+  double p50 = 0, p90 = 0, p99 = 0;
+};
+
+/// p50/p90/p99 of a JSON histogram object ({lo, hi, count, min, max,
+/// bins}) through histogram_quantile, so v1 reports — which have bins but
+/// no "percentiles" section — inspect identically to v2.
+Quantiles json_quantiles(const JsonValue& h) {
   const JsonValue* bins = h.find("bins");
-  const double count = h.find("count") ? h.find("count")->num_or(0) : 0;
-  if (bins == nullptr || bins->type != JsonValue::Type::Array || count <= 0) {
-    return 0.0;
-  }
-  const double lo = h.find("lo") ? h.find("lo")->num_or(0) : 0;
-  const double hi = h.find("hi") ? h.find("hi")->num_or(1) : 1;
-  const double hmin = h.find("min") ? h.find("min")->num_or(0) : 0;
-  const double hmax = h.find("max") ? h.find("max")->num_or(0) : 0;
-  const std::size_t n = bins->array.size();
-  if (n < 3) return hmax;
-  const double width = (hi - lo) / static_cast<double>(n - 2);
-  const double target = std::clamp(q, 0.0, 1.0) * count;
-  double cum = 0.0;
-  double value = hmax;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double b = bins->array[i].num_or(0);
-    if (b <= 0) continue;
-    if (cum + b >= target) {
-      if (i == 0) {
-        value = hmin;
-      } else if (i == n - 1) {
-        value = hmax;
-      } else {
-        const double frac = (target - cum) / b;
-        value = lo + (static_cast<double>(i - 1) + frac) * width;
-      }
-      break;
-    }
-    cum += b;
-  }
-  return std::clamp(value, hmin, hmax);
+  if (bins == nullptr || bins->type != JsonValue::Type::Array) return {};
+  std::vector<std::uint64_t> counts;
+  counts.reserve(bins->array.size());
+  for (const auto& b : bins->array) counts.push_back(json_count(&b));
+  const auto field = [&](const char* key, double fallback) {
+    const JsonValue* v = h.find(key);
+    return v != nullptr ? v->num_or(fallback) : fallback;
+  };
+  const auto quantile = [&](double q) {
+    return histogram_quantile(field("lo", 0), field("hi", 1),
+                              json_count(h.find("count")), field("min", 0),
+                              field("max", 0), counts, q);
+  };
+  return {quantile(0.50), quantile(0.90), quantile(0.99)};
 }
 
 const char* str_or(const JsonValue& doc, const char* key,
@@ -453,21 +449,19 @@ void render_report(const JsonValue& doc, std::FILE* out) {
     for (const auto& [name, h] : histograms->object) {
       const double count = h.find("count") ? h.find("count")->num_or(0) : 0;
       if (count <= 0) continue;
-      double p50, p90, p99;
+      Quantiles p;
       const JsonValue* pre =
           percentiles != nullptr ? percentiles->find(name) : nullptr;
       if (pre != nullptr) {
-        p50 = pre->find("p50") ? pre->find("p50")->num_or(0) : 0;
-        p90 = pre->find("p90") ? pre->find("p90")->num_or(0) : 0;
-        p99 = pre->find("p99") ? pre->find("p99")->num_or(0) : 0;
+        p.p50 = pre->find("p50") ? pre->find("p50")->num_or(0) : 0;
+        p.p90 = pre->find("p90") ? pre->find("p90")->num_or(0) : 0;
+        p.p99 = pre->find("p99") ? pre->find("p99")->num_or(0) : 0;
       } else {
-        p50 = bins_quantile(h, 0.50);
-        p90 = bins_quantile(h, 0.90);
-        p99 = bins_quantile(h, 0.99);
+        p = json_quantiles(h);
       }
       const double hmax = h.find("max") ? h.find("max")->num_or(0) : 0;
       std::fprintf(out, "  %-28s %10.0f %10.4g %10.4g %10.4g %10.4g\n",
-                   name.c_str(), count, p50, p90, p99, hmax);
+                   name.c_str(), count, p.p50, p.p90, p.p99, hmax);
     }
   }
 
@@ -490,12 +484,11 @@ void render_report(const JsonValue& doc, std::FILE* out) {
         const JsonValue* srtt = histograms->find("tcp.flow_srtt_ms");
         if (srtt != nullptr && srtt->find("count") != nullptr &&
             srtt->find("count")->num_or(0) > 0) {
+          const Quantiles p = json_quantiles(*srtt);
           std::fprintf(out,
                        "  flow srtt: p50 %.4g ms, p90 %.4g ms, p99 %.4g "
                        "ms (over %.0f flow snapshots)\n",
-                       bins_quantile(*srtt, 0.5), bins_quantile(*srtt, 0.9),
-                       bins_quantile(*srtt, 0.99),
-                       srtt->find("count")->num_or(0));
+                       p.p50, p.p90, p.p99, srtt->find("count")->num_or(0));
         }
       }
     }
@@ -949,11 +942,11 @@ void render_runtime(const JsonValue& doc, std::FILE* out) {
                  num(sched, "idle_fraction"));
     const JsonValue* lat = sched->find("submit_to_start_us");
     if (lat != nullptr && num(lat, "count") > 0) {
+      const Quantiles p = json_quantiles(*lat);
       std::fprintf(out,
                    "  submit-to-start      p50=%.1fus p90=%.1fus p99=%.1fus "
                    "(n=%.0f)\n",
-                   bins_quantile(*lat, 0.50), bins_quantile(*lat, 0.90),
-                   bins_quantile(*lat, 0.99), num(lat, "count"));
+                   p.p50, p.p90, p.p99, num(lat, "count"));
     }
   }
 
@@ -964,11 +957,11 @@ void render_runtime(const JsonValue& doc, std::FILE* out) {
                  num(trials, "count"), num(trials, "supervised"));
     const JsonValue* wall = trials->find("wall_ms");
     if (wall != nullptr && num(wall, "count") > 0) {
+      const Quantiles p = json_quantiles(*wall);
       std::fprintf(out,
                    "  wall         p50=%.1fms p90=%.1fms p99=%.1fms "
                    "max=%.1fms\n",
-                   bins_quantile(*wall, 0.50), bins_quantile(*wall, 0.90),
-                   bins_quantile(*wall, 0.99), num(wall, "max"));
+                   p.p50, p.p90, p.p99, num(wall, "max"));
     }
   }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,15 @@ class MetricsRegistry {
 /// p50/p90/p99 derived in reports match what any offline reader computes
 /// from the same JSON.
 double histogram_quantile(const Histogram& h, double q);
+
+/// The same estimate over a histogram's raw fields — `bins` laid out as
+/// Histogram::bins() (underflow, buckets over [lo, hi), overflow). The
+/// one implementation behind the Histogram overload, the sweep
+/// aggregator's merged bins and inspect's JSON reader. Returns 0 when
+/// `count` is 0 or `bins` has no bucket between the two edge bins.
+double histogram_quantile(double lo, double hi, std::uint64_t count,
+                          double min, double max,
+                          std::span<const std::uint64_t> bins, double q);
 
 /// Render a double the way every obs JSON writer does: shortest
 /// round-trippable decimal form, integral values without a trailing ".0"

@@ -301,8 +301,8 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   if (!first) out << ",\n    \"total\": " << total << "\n  ";
   out << "},\n";
   // v2: quantiles pre-derived from the histogram bins, so downstream
-  // readers (wehey_cli inspect, tools/trace_stats.py, dashboards) get
-  // p50/p90/p99 without re-walking the bins themselves.
+  // readers (wehey_cli inspect, dashboards) get p50/p90/p99 without
+  // re-walking the bins themselves.
   out << "  \"percentiles\": {";
   first = true;
   if (metrics != nullptr) {

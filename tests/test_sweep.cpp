@@ -427,6 +427,24 @@ TEST(Compare, MissingKeysIgnoreAndFloors) {
   EXPECT_FALSE(
       compare_reports(parse("{\"a\": 1}"), parse("{\"a\": 1}"), dangling)
           .ok);
+  // A row that ran more threads than the host has measures the machine:
+  // its floor is skipped with a note, yet the row still counts as a
+  // match (so the pattern does not fail as matching nothing).
+  CompareOptions grid;
+  grid.min_keys.emplace_back("grid\\.runs\\[.*\\]\\.speedup", 0.55);
+  const JsonValue oversubscribed = parse(
+      "{\"grid\": {\"runs\": [{\"speedup\": 0.3, "
+      "\"oversubscribed\": true}]}}");
+  const auto skipped = compare_reports(oversubscribed, oversubscribed, grid);
+  EXPECT_TRUE(skipped.ok) << (skipped.failures.empty() ? ""
+                                                       : skipped.failures[0]);
+  ASSERT_EQ(skipped.notes.size(), 1u);
+  EXPECT_EQ(skipped.notes[0],
+            "floor skipped at grid.runs[0].speedup (oversubscribed row)");
+  const JsonValue fits = parse(
+      "{\"grid\": {\"runs\": [{\"speedup\": 0.3, "
+      "\"oversubscribed\": false}]}}");
+  EXPECT_FALSE(compare_reports(fits, fits, grid).ok);
 }
 
 TEST(Compare, PerKeyToleranceOverride) {
@@ -469,6 +487,88 @@ TEST(Compare, RequireKeyGuardsSectionExistence) {
 
 /// The C++ constants and the JSON Schema files under tools/ must agree —
 /// a version bump that misses one side fails here, not in CI archaeology.
+// ------------------------------------------------------------ quantile
+
+/// {p50, p90, p99} of histogram `name` in a document's "percentiles"
+/// section. Numbers are written in shortest round-trip form, so the
+/// parsed doubles are the writer's doubles bit for bit.
+std::vector<double> percentiles_of(const JsonValue& doc,
+                                   const std::string& name) {
+  const JsonValue* section = doc.find("percentiles");
+  const JsonValue* p = section != nullptr ? section->find(name) : nullptr;
+  if (p == nullptr) return {};
+  std::vector<double> out;
+  for (const char* key : {"p50", "p90", "p99"}) {
+    const JsonValue* v = p->find(key);
+    out.push_back(v != nullptr ? v->num_or(-1.0) : -1.0);
+  }
+  return out;
+}
+
+std::string rendered_report(const JsonValue& doc) {
+  std::FILE* f = std::tmpfile();
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return {};
+  render_report(doc, f);
+  std::rewind(f);
+  std::string out;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+TEST(Quantile, ReportSweepAndInspectShareOneImplementation) {
+  // Crossing buckets in every position: the underflow bin (p50/p90 of
+  // "edge.under"), the overflow bin ("edge.over"), and interior buckets
+  // interpolated next to under- and overflow mass ("mixed").
+  MetricsRegistry m;
+  Histogram& under = m.histogram("edge.under", 0.0, 10.0, 5);
+  for (int i = 0; i < 9; ++i) under.observe(-1.0 - i);
+  under.observe(3.3);
+  Histogram& over = m.histogram("edge.over", 0.0, 10.0, 5);
+  over.observe(1.7);
+  for (int i = 0; i < 9; ++i) over.observe(12.0 + i);
+  Histogram& mixed = m.histogram("mixed", 0.0, 1.0, 7);
+  mixed.observe(-0.25);
+  for (int i = 0; i < 97; ++i) mixed.observe(0.013 * i);
+  mixed.observe(7.5);
+  EXPECT_EQ(histogram_quantile(under, 0.50), under.min());
+  EXPECT_EQ(histogram_quantile(over, 0.50), over.max());
+
+  RunReport r;
+  r.run = "quantile_test.r000";
+  const JsonValue report = parse(r.to_json(&m));
+  SweepAggregator single("quantile_test");
+  single.add_run(r, &m);
+  const JsonValue sweep = parse(single.to_json());
+  for (const auto& [name, h] : m.histograms()) {
+    const std::vector<double> expected = {histogram_quantile(h, 0.50),
+                                          histogram_quantile(h, 0.90),
+                                          histogram_quantile(h, 0.99)};
+    EXPECT_EQ(percentiles_of(report, name), expected) << name;
+    EXPECT_EQ(percentiles_of(sweep, name), expected) << name;
+  }
+
+  // inspect prints the report's percentiles when the section is there
+  // and derives them from the bins when it is not (v1 reports): both
+  // renderings must be the same text.
+  JsonValue stripped = report;
+  auto& members = stripped.object;
+  members.erase(std::remove_if(members.begin(), members.end(),
+                               [](const auto& member) {
+                                 return member.first == "percentiles";
+                               }),
+                members.end());
+  ASSERT_EQ(stripped.find("percentiles"), nullptr);
+  const std::string derived = rendered_report(stripped);
+  EXPECT_EQ(rendered_report(report), derived);
+  for (const auto& [name, h] : m.histograms()) {
+    EXPECT_NE(derived.find(name), std::string::npos) << name;
+  }
+}
+
 TEST(Schema, ToolsSchemasNameTheCppConstants) {
   const std::string root = WEHEY_SOURCE_DIR;
   std::string text;
@@ -583,9 +683,8 @@ TEST(Inspect, ParserRejectsPathologicalDocuments) {
 }
 
 TEST(Compare, FlattenKeysListsTheComparableKeySpace) {
-  // Backs the --list-keys discovery flow in wehey_cli compare and
-  // bench_compare.py: sorted dotted paths, arrays indexed, every leaf
-  // type included.
+  // Backs the --list-keys discovery flow in wehey_cli compare: sorted
+  // dotted paths, arrays indexed, every leaf type included.
   const JsonValue doc = parse(
       "{\"b\": {\"y\": 1.5, \"x\": [2, \"s\"]}, \"a\": true, "
       "\"c\": null, \"d\": {}}");
