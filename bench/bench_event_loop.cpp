@@ -321,7 +321,7 @@ int main() {
   if (!runtime_was_enabled) obs::runtime::set_enabled(false);
 
   // (3) Persist the trajectory. Block-wise update: any other bench's
-  // blocks in the file (e.g. bench_background's) are preserved.
+  // blocks in the file (e.g. bench_table1_wild's "runtime") are preserved.
   const std::string path = bench::bench_json_path();
   auto event_loop = bench::jobj();
   bench::jset(event_loop, "events", bench::jnum(kEvents));

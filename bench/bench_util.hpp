@@ -388,7 +388,8 @@ class ObservedSweep {
 // (default BENCH_parallel.json, override with WEHEY_BENCH_JSON), each
 // owning a named top-level block. update_bench_block() re-reads the file
 // and replaces only the caller's block, so bench_event_loop and
-// bench_background can run in any order without clobbering each other.
+// bench_table1_wild (its "runtime" block) can run in any order without
+// clobbering each other.
 
 /// Terse JsonValue constructors for assembling bench blocks.
 inline obs::JsonValue jnum(double v) {

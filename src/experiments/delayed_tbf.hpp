@@ -72,24 +72,6 @@ class DelayedTbfDisc final : public netsim::QueueDisc {
   std::size_t backlog_packets() const override { return q_.size(); }
   bool throttling_active() const { return active_; }
 
-  /// Fluid coupling: the aggregate's bytes count toward the trigger and,
-  /// once throttling is active, drain real tokens like packets would.
-  double fluid_offer(double bytes, std::uint8_t dscp, Time now) override {
-    (void)dscp;
-    if (bytes <= 0.0) return 0.0;
-    refill(now);
-    seen_ += static_cast<std::int64_t>(bytes + 0.5);
-    if (!active_ && seen_ >= trigger_) {
-      active_ = true;
-      tokens_ = static_cast<double>(burst_);
-      last_refill_ = now;
-    }
-    if (!active_) return bytes;
-    const double take = std::min(tokens_, bytes);
-    tokens_ -= take;
-    return take;
-  }
-
  private:
   void refill(Time now) {
     if (!active_ || now <= last_refill_) return;

@@ -218,29 +218,6 @@ void FigureOneNetwork::attach_background(
   }
 }
 
-void FigureOneNetwork::attach_fluid_background(
-    int path_index, const trace::FluidProfile& profile) {
-  WEHEY_EXPECTS(path_index == 1 || path_index == 2);
-  if (profile.empty()) return;
-  netsim::FluidSegments seg;
-  seg.step = profile.step;
-  seg.dflt = profile.dflt;
-  seg.diff = profile.diff;
-  seg.burst_dflt = profile.burst_dflt;
-  seg.burst_diff = profile.burst_diff;
-  std::vector<Link*> path;
-  path.push_back(path_index == 1 ? nc1_.get() : nc2_.get());
-  path.push_back(common_.get());
-  if (access_) path.push_back(access_.get());
-  auto src = std::make_unique<netsim::FluidSource>(sim_, std::move(seg),
-                                                   std::move(path));
-  // Stagger the two paths' step grids by half a step: they share the
-  // common and access links, and in-phase stepping would drain tokens and
-  // fire bursts at identical instants on both.
-  src->start(path_index == 1 ? 0 : profile.step / 2);
-  fluid_.push_back(std::move(src));
-}
-
 ReplayCut FigureOneNetwork::take_next_cut() {
   const ReplayCut cut = next_cut_;
   next_cut_ = ReplayCut{};
@@ -553,23 +530,6 @@ void FigureOneNetwork::snapshot_metrics() const {
     for (const auto& s : r->senders) flow(*s);
   }
   for (const auto& b : background_) flow(*b->sender);
-
-  // Fluid-mode background: end-of-phase aggregate totals. Absent (not
-  // zero) in packet-mode runs so pre-fluid reports are unchanged.
-  if (!fluid_.empty()) {
-    std::uint64_t steps = 0, offered = 0, delivered = 0, dropped = 0;
-    for (const auto& f : fluid_) {
-      steps += f->steps();
-      offered += static_cast<std::uint64_t>(f->offered_bytes());
-      delivered += static_cast<std::uint64_t>(f->delivered_bytes());
-      dropped += static_cast<std::uint64_t>(f->dropped_bytes());
-    }
-    m.counter("fluid.sources").inc(fluid_.size());
-    m.counter("fluid.steps").inc(steps);
-    m.counter("fluid.offered_bytes").inc(offered);
-    m.counter("fluid.delivered_bytes").inc(delivered);
-    m.counter("fluid.dropped_bytes").inc(dropped);
-  }
 }
 
 std::uint64_t FigureOneNetwork::limiter_drops() const {

@@ -22,7 +22,6 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
-#include "netsim/fluid.hpp"
 #include "netsim/link.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/packet.hpp"
@@ -124,14 +123,6 @@ class FigureOneNetwork {
   void attach_background(int path_index,
                          const std::vector<trace::BackgroundFlow>& flows,
                          const transport::TcpConfig& tcp = {});
-
-  /// Fluid-mode alternative to attach_background: carry the same workload
-  /// as a piecewise-constant rate aggregate on the path's link chain
-  /// (netsim::FluidSource) — one simulator event per coarse step instead
-  /// of per-packet traffic. Replays still see the load through reduced
-  /// effective link capacity and the shared discs.
-  void attach_fluid_background(int path_index,
-                               const trace::FluidProfile& profile);
 
   /// Start a TCP trace replay on path `path_index` at time `start`; the
   /// byte schedule comes from `t` (§3.4: congestion control and pacing
@@ -242,7 +233,6 @@ class FigureOneNetwork {
   std::vector<std::unique_ptr<UdpReplay>> udp_replays_;
   std::vector<std::unique_ptr<QuicReplay>> quic_replays_;
   std::vector<std::unique_ptr<BackgroundFlowRt>> background_;
-  std::vector<std::unique_ptr<netsim::FluidSource>> fluid_;
   bool route_churn_ = false;
   ReplayCut next_cut_;
   ReplayStorm next_storm_;

@@ -197,18 +197,10 @@ PhaseReport run_phase(const ScenarioConfig& cfg, Phase phase) {
   // slow-start-only mice.
   bg.flows_per_second =
       std::max(1.5, cfg.bg_rate_per_path / mbps(1.0) * 1.2);
-  // Both modes consume identical RNG draws here, so the replay setup
-  // below is seeded the same whether the background is packet or fluid.
-  const trace::BackgroundMode bg_mode =
-      trace::resolve_background_mode(cfg.bg_mode);
   for (int path = 1; path <= 2; ++path) {
     auto flows = trace::generate_background(bg, rng);
     trace::mark_differentiated(flows, cfg.bg_diff_fraction, rng);
-    if (bg_mode == trace::BackgroundMode::kFluid) {
-      net.attach_fluid_background(path, trace::fluid_profile(flows, bg));
-    } else {
-      net.attach_background(path, flows);
-    }
+    net.attach_background(path, flows);
   }
 
   // Replay traces.

@@ -70,12 +70,8 @@ struct ScenarioConfig {
 
   std::uint64_t seed = 1;
 
-  /// How the background workload is carried: packet-level TCP flows
-  /// (default), the fluid-rate aggregate (netsim::FluidSource), or
-  /// whatever WEHEY_BG_MODE selects (kEnv). Fluid mode consumes the same
-  /// RNG draws as packet mode, so everything downstream of the background
-  /// setup is seeded identically in both modes.
-  trace::BackgroundMode bg_mode = trace::BackgroundMode::kEnv;
+  /// Unread; see trace::BackgroundMode.
+  trace::BackgroundMode bg_mode = trace::BackgroundMode::kPacket;
 
   /// Optional fault plan (not owned; must outlive the run). Null or empty
   /// = no faults — the injection hooks are skipped entirely, so a clean

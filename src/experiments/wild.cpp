@@ -40,8 +40,9 @@ trace::AppTrace wild_trace(const WildConfig& cfg, bool inverted) {
   return trace::extend(t, cfg.replay_duration);
 }
 
-}  // namespace
-
+/// The Figure-1 parameters of a wild test's network: per-client limiter
+/// (or ISP5's delayed TBF) on the common link plus the jittery cellular
+/// access link.
 NetworkParams wild_network_params(const WildConfig& cfg, Rate trace_rate) {
   NetworkParams net;
   const Time rtt = milliseconds(cfg.rtt_ms);
@@ -82,8 +83,6 @@ NetworkParams wild_network_params(const WildConfig& cfg, Rate trace_rate) {
   };
   return net;
 }
-
-namespace {
 
 std::uint64_t phase_seed(const WildConfig& cfg, Phase phase) {
   return cfg.seed * 1000003ULL + static_cast<std::uint64_t>(phase) * 7919ULL;
@@ -159,17 +158,8 @@ PhaseReport run_wild_phase(const WildConfig& cfg, Phase phase,
   bg.target_rate = cfg.bg_rate_per_path;
   bg.duration = cfg.replay_duration + kDrainGrace;
   bg.flows_per_second = 2.0;
-  // Identical RNG draws in both modes: the access-jitter and replay seeds
-  // downstream are unchanged by the background carrier choice.
-  const trace::BackgroundMode bg_mode =
-      trace::resolve_background_mode(cfg.bg_mode);
   for (int path = 1; path <= 2; ++path) {
-    auto flows = trace::generate_background(bg, rng);
-    if (bg_mode == trace::BackgroundMode::kFluid) {
-      net.attach_fluid_background(path, trace::fluid_profile(flows, bg));
-    } else {
-      net.attach_background(path, flows);
-    }
+    net.attach_background(path, trace::generate_background(bg, rng));
   }
 
   const bool is_original =

@@ -52,21 +52,13 @@ struct WildConfig {
   Rate bg_rate_per_path = kbps(300);  ///< the client's other light traffic
   std::uint64_t seed = 1;
 
-  /// Background carrier: packet flows (default), the fluid-rate aggregate,
-  /// or whatever WEHEY_BG_MODE selects (kEnv). Same RNG-draw discipline as
-  /// ScenarioConfig::bg_mode.
-  trace::BackgroundMode bg_mode = trace::BackgroundMode::kEnv;
+  /// Unread; see trace::BackgroundMode.
+  trace::BackgroundMode bg_mode = trace::BackgroundMode::kPacket;
 
   /// Optional fault plan (not owned; must outlive the run). Null or empty
   /// = no faults.
   const faults::FaultPlan* fault_plan = nullptr;
 };
-
-/// The Figure-1 parameters of a wild test's network: per-client limiter
-/// (or ISP5's delayed TBF) on the common link plus the jittery cellular
-/// access link. Exposed for benches that rebuild the wild network
-/// stand-alone (e.g. bench_background's operating points).
-NetworkParams wild_network_params(const WildConfig& cfg, Rate trace_rate);
 
 /// One phase of a wild test. `third_replay` adds a concurrent third
 /// original replay (the §5 sanity check) during simultaneous phases.

@@ -21,30 +21,8 @@ void Link::receive(Packet pkt) {
   try_transmit();
 }
 
-void Link::inject_fluid_burst(double bytes) {
-  if (bytes <= 0.0) return;
-  fluid_burst_bytes_ += bytes;
-  try_transmit();
-}
-
 void Link::try_transmit() {
   if (transmitting_) return;
-  if (fluid_burst_bytes_ > 0.0) {
-    // Drain the pending fluid burst as one busy period before serving
-    // packets — head-of-flow bursts arrive ahead of anything queued after
-    // the injection point.
-    const auto bytes = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(fluid_burst_bytes_ + 0.5));
-    fluid_burst_bytes_ = 0.0;
-    transmitting_ = true;
-    const Time tx = transmission_time(bytes, effective_bandwidth());
-    sim_.schedule(tx, [this, tx] {
-      transmitting_ = false;
-      account_transmit(tx, sim_.now());
-      try_transmit();
-    });
-    return;
-  }
   auto pkt = disc_->dequeue(sim_.now());
   if (!pkt) {
     // Nothing eligible now. If the disc will have an eligible packet later
@@ -60,7 +38,7 @@ void Link::try_transmit() {
     return;
   }
   transmitting_ = true;
-  const Time tx = transmission_time(pkt->size, effective_bandwidth());
+  const Time tx = transmission_time(pkt->size, bandwidth_);
   sim_.schedule(tx, [this, p = std::move(*pkt), tx]() mutable {
     finish_transmit(std::move(p), tx);
   });

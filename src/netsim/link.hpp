@@ -47,28 +47,6 @@ class Link final : public PacketSink {
   }
   Time delay() const { return delay_; }
 
-  // Hybrid fluid/packet coupling (netsim/fluid.hpp): fluid background
-  // aggregates register their realized throughput here, and packet traffic
-  // sees the remainder as its effective service capacity.
-
-  /// Add (or, with a negative delta, remove) fluid load in bits/sec.
-  void add_fluid_load(Rate delta) {
-    fluid_load_ = std::max(0.0, fluid_load_ + delta);
-  }
-  /// A fluid aggregate's head-of-flow burst: the bytes occupy the
-  /// transmitter as one busy period (a single event), so packet traffic
-  /// queues behind them exactly as it would behind the burst's packets.
-  void inject_fluid_burst(double bytes);
-  Rate fluid_load() const { return fluid_load_; }
-  /// Capacity left for packet traffic: nominal bandwidth minus fluid load,
-  /// floored at 10% of nominal so packets always make progress (mirrors
-  /// the fluid model's own capacity share).
-  Rate effective_bandwidth() const {
-    return fluid_load_ > 0.0
-               ? std::max(bandwidth_ - fluid_load_, 0.1 * bandwidth_)
-               : bandwidth_;
-  }
-
   std::uint64_t delivered_packets() const { return delivered_; }
   std::int64_t delivered_bytes() const { return delivered_bytes_; }
   /// Total simulated time spent transmitting (busy time).
@@ -93,8 +71,6 @@ class Link final : public PacketSink {
 
   Simulator& sim_;
   Rate bandwidth_;
-  Rate fluid_load_ = 0.0;  ///< bits/sec claimed by fluid aggregates
-  double fluid_burst_bytes_ = 0.0;  ///< pending burst awaiting the transmitter
   Time delay_;
   std::unique_ptr<QueueDisc> disc_;
   PacketSink* next_;

@@ -95,15 +95,6 @@ Time TbfDisc::next_ready(Time now) const {
   return now + std::max<Time>(1, seconds(wait_s));
 }
 
-double TbfDisc::fluid_offer(double bytes, std::uint8_t dscp, Time now) {
-  (void)dscp;  // a bare TBF polices everything that reaches it
-  if (bytes <= 0.0) return 0.0;
-  refill(now);
-  const double take = std::min(tokens_bytes_, bytes);
-  tokens_bytes_ -= take;
-  return take;
-}
-
 // --------------------------------------------------------- RateLimiterDisc
 
 RateLimiterDisc::RateLimiterDisc(std::unique_ptr<FifoDisc> default_q,
@@ -147,20 +138,6 @@ Time RateLimiterDisc::next_ready(Time now) const {
   return std::min(default_->next_ready(now), throttled_->next_ready(now));
 }
 
-double RateLimiterDisc::fluid_offer(double bytes, std::uint8_t dscp,
-                                    Time now) {
-  return dscp == kDscpDifferentiated
-             ? throttled_->fluid_offer(bytes, dscp, now)
-             : default_->fluid_offer(bytes, dscp, now);
-}
-
-void RateLimiterDisc::fluid_set_backlog(std::int64_t bytes) {
-  // The classifier itself holds no queue; propagate the occupancy to both
-  // classes (only occupancy-driven children use it).
-  default_->fluid_set_backlog(bytes);
-  throttled_->fluid_set_backlog(bytes);
-}
-
 std::int64_t RateLimiterDisc::backlog_bytes() const {
   return default_->backlog_bytes() + throttled_->backlog_bytes();
 }
@@ -192,11 +169,7 @@ double RedDisc::drop_probability() const {
 }
 
 bool RedDisc::enqueue(Packet pkt, Time now) {
-  // The fluid aggregate's standing queue counts toward the averaged
-  // occupancy (zero unless a FluidSource is attached, so packet-only runs
-  // are bit-identical to the pre-fluid behaviour).
-  avg_ = (1.0 - weight_) * avg_ +
-         weight_ * static_cast<double>(bytes_ + fluid_backlog_);
+  avg_ = (1.0 - weight_) * avg_ + weight_ * static_cast<double>(bytes_);
   bool early = false;
   if (avg_ >= static_cast<double>(max_th_)) {
     early = true;
@@ -231,18 +204,6 @@ std::optional<Packet> RedDisc::dequeue(Time now) {
 
 Time RedDisc::next_ready(Time now) const {
   return q_.empty() ? kNever : now;
-}
-
-double RedDisc::fluid_offer(double bytes, std::uint8_t dscp, Time now) {
-  (void)dscp;
-  (void)now;
-  if (bytes <= 0.0) return 0.0;
-  // Same EWMA update an arrival performs, then the early-drop probability
-  // applied in expectation: deterministic fractional loss, no RNG draws,
-  // so fluid runs stay byte-identical across thread counts.
-  avg_ = (1.0 - weight_) * avg_ +
-         weight_ * static_cast<double>(bytes_ + fluid_backlog_);
-  return bytes * (1.0 - drop_probability());
 }
 
 // --------------------------------------------------- PerFlowRateLimiterDisc

@@ -55,26 +55,6 @@ class QueueDisc {
   }
   std::uint64_t drop_count() const { return drops_; }
 
-  // Hybrid fluid/packet coupling (netsim/fluid.hpp). A FluidSource calls
-  // these once per coarse step; discs that gate traffic (token buckets,
-  // RED) participate, everything else is transparent and the fluid
-  // aggregate competes only for link capacity.
-
-  /// Offer `bytes` of aggregate fluid arriving in class `dscp` over the
-  /// step ending at `now`; returns the bytes the disc admits. The
-  /// shortfall is fluid loss and feeds the aggregate's congestion
-  /// response. Default: admit everything.
-  virtual double fluid_offer(double bytes, std::uint8_t dscp, Time now) {
-    (void)dscp;
-    (void)now;
-    return bytes;
-  }
-
-  /// Report the fluid aggregate's estimated standing queue at this hop.
-  /// Occupancy-driven discs (RED's EWMA) fold it into their average;
-  /// others ignore it. Default: no-op.
-  virtual void fluid_set_backlog(std::int64_t bytes) { (void)bytes; }
-
  protected:
   void notify_drop(const Packet& pkt, Time now) {
     ++drops_;
@@ -123,11 +103,6 @@ class TbfDisc final : public QueueDisc {
   std::int64_t burst_bytes() const { return burst_; }
   double tokens(Time now) const;
 
-  /// Fluid coupling: the aggregate drains real tokens — whatever the
-  /// bucket cannot cover is fluid loss (the policing the packet backend
-  /// applies per packet, applied in expectation).
-  double fluid_offer(double bytes, std::uint8_t dscp, Time now) override;
-
  private:
   void refill(Time now);
 
@@ -166,11 +141,6 @@ class RateLimiterDisc final : public QueueDisc {
   /// Drops inside the throttled class only (differentiation-induced).
   std::uint64_t throttled_drops() const { return throttled_->drop_count(); }
 
-  /// Fluid coupling: classify like enqueue — differentiated fluid goes
-  /// through the throttled disc, default-class fluid through the FIFO.
-  double fluid_offer(double bytes, std::uint8_t dscp, Time now) override;
-  void fluid_set_backlog(std::int64_t bytes) override;
-
  private:
   std::unique_ptr<FifoDisc> default_;
   std::unique_ptr<QueueDisc> throttled_;
@@ -196,14 +166,6 @@ class RedDisc final : public QueueDisc {
 
   double average_backlog() const { return avg_; }
 
-  /// Fluid coupling: the early-drop probability applies to the aggregate
-  /// in expectation (deterministic fractional loss, no RNG draws), and
-  /// the fluid's standing queue joins the packet backlog in the EWMA.
-  double fluid_offer(double bytes, std::uint8_t dscp, Time now) override;
-  void fluid_set_backlog(std::int64_t bytes) override {
-    fluid_backlog_ = bytes;
-  }
-
  private:
   /// Current early-drop probability given the averaged occupancy.
   double drop_probability() const;
@@ -214,7 +176,6 @@ class RedDisc final : public QueueDisc {
   double weight_;
   Rng rng_;
   double avg_ = 0.0;
-  std::int64_t fluid_backlog_ = 0;
   std::int64_t bytes_ = 0;
   PacketRing q_;
   obs::HistogramHandle residency_obs_{"queue.red.residency_ms", 0.0, 500.0,

@@ -427,9 +427,8 @@ std::string SweepAggregator::to_json() const {
   // Knife-edge cells: minimum |decision margin| below the configured
   // threshold, i.e. at least one run's verdict sat close enough to a
   // decision boundary that an equivalent-but-not-identical realization
-  // (packet vs fluid background, a different seed) could flip it. CI
-  // derives its per-cell verdict exemptions from this block instead of
-  // hard-coding cell names.
+  // (a different seed) could flip it. `wehey_cli inspect` renders this
+  // block as the KNIFE-EDGE table.
   const double knife_margin = knife_edge_margin_from_env();
   out << "  \"knife_edge\": {\n    \"margin_threshold\": "
       << json_number(knife_margin) << ",\n    \"cells\": {";

@@ -66,8 +66,8 @@ namespace wehey::obs {
 inline constexpr char kDecisionMarginValue[] = "decision_margin";
 
 /// Default |margin| below which a cell counts as knife-edge: its verdict
-/// sits close enough to a decision boundary that background-traffic
-/// realizations (e.g. packet vs fluid) can legitimately flip it.
+/// sits close enough to a decision boundary that a different
+/// background-traffic realization can legitimately flip it.
 inline constexpr double kDefaultKnifeEdgeMargin = 0.05;
 
 /// WEHEY_KNIFE_EDGE_MARGIN, or kDefaultKnifeEdgeMargin when unset or

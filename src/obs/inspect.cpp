@@ -499,16 +499,6 @@ void render_report(const JsonValue& doc, std::FILE* out) {
         std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
       }
     }
-    // Hybrid fluid/packet background (WEHEY_BG_MODE=fluid). The section
-    // only exists when the run produced fluid counters, so pre-fluid
-    // reports render byte-identically.
-    const auto fluid = counters_with_prefix(*counters, "fluid.");
-    if (!fluid.empty()) {
-      print_rule(out, "fluid background");
-      for (const auto& [name, v] : fluid) {
-        std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
-      }
-    }
   }
 
   const JsonValue* profile = doc.find("profile");
@@ -748,21 +738,6 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
       };
       std::fprintf(out, "  %-28s %11.4g %11.4g %11.4g\n", name.c_str(),
                    field("p50"), field("p90"), field("p99"));
-    }
-  }
-
-  // Fluid-background totals across the sweep (WEHEY_BG_MODE=fluid).
-  // Absent on packet-mode sweeps, so pre-fluid reports are unchanged.
-  const JsonValue* metrics = doc.find("metrics");
-  const JsonValue* counters =
-      metrics != nullptr ? metrics->find("counters") : nullptr;
-  if (counters != nullptr) {
-    const auto fluid = counters_with_prefix(*counters, "fluid.");
-    if (!fluid.empty()) {
-      print_rule(out, "fluid background (all runs)");
-      for (const auto& [name, v] : fluid) {
-        std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
-      }
     }
   }
 }

@@ -1,5 +1,7 @@
 #include "stats/distributions.hpp"
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 #include <limits>
 
@@ -9,6 +11,13 @@ namespace wehey::stats {
 namespace {
 
 constexpr double kSqrt2 = 1.41421356237309504880;
+
+// ln|Gamma(x)| via the reentrant lgamma_r: std::lgamma also writes libm's
+// global `signgam`, a data race when localizations run on several threads.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 // Continued-fraction part of the incomplete beta function (Numerical
 // Recipes-style modified Lentz algorithm).
@@ -95,7 +104,7 @@ double incomplete_beta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
   const double ln_beta =
-      std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b);
+      log_gamma(a + b) - log_gamma(a) - log_gamma(b);
   const double front =
       std::exp(ln_beta + a * std::log(x) + b * std::log(1.0 - x));
   // Use the continued fraction directly when it converges fast, i.e. when

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "common/check.hpp"
 
@@ -115,99 +113,6 @@ std::int64_t total_bytes(const std::vector<BackgroundFlow>& flows) {
   std::int64_t sum = 0;
   for (const auto& f : flows) sum += f.bytes;
   return sum;
-}
-
-BackgroundMode background_mode_from_env() {
-  const char* v = std::getenv("WEHEY_BG_MODE");
-  if (v == nullptr || v[0] == 0) return BackgroundMode::kPacket;
-  const std::string s(v);
-  if (s == "fluid") return BackgroundMode::kFluid;
-  return BackgroundMode::kPacket;
-}
-
-BackgroundMode resolve_background_mode(BackgroundMode mode) {
-  return mode == BackgroundMode::kEnv ? background_mode_from_env() : mode;
-}
-
-std::int64_t FluidProfile::total_bytes() const {
-  const double dt = to_seconds(step);
-  double bits = 0.0;
-  for (const double r : dflt) bits += r * dt;
-  for (const double r : diff) bits += r * dt;
-  double bytes = bits / 8.0;
-  for (const double b : burst_dflt) bytes += b;
-  for (const double b : burst_diff) bytes += b;
-  return static_cast<std::int64_t>(std::llround(bytes));
-}
-
-FluidProfile fluid_profile(const std::vector<BackgroundFlow>& flows,
-                           const BackgroundConfig& cfg, Time step) {
-  WEHEY_EXPECTS(step > 0);
-  FluidProfile out;
-  out.step = step;
-  const auto segments =
-      static_cast<std::size_t>((cfg.duration + step - 1) / step);
-  out.dflt.assign(segments, 0.0);
-  out.diff.assign(segments, 0.0);
-  out.burst_dflt.assign(segments, 0.0);
-  out.burst_diff.assign(segments, 0.0);
-  if (segments == 0) return out;
-
-  // Slow-start head: a TCP flow's first bytes hit the bottleneck as
-  // back-to-back windows before ACK clocking paces it, and that burst —
-  // not the flow's average rate — is what delays competing traffic. Up to
-  // this much of each flow is delivered as an unpaced burst at the flow's
-  // start; the remainder is paced below. 80 KB ≈ the exponential-growth
-  // window a flow reaches before its first loss at these bandwidth-delay
-  // products, calibrated so fluid-mode grid verdict tallies track the
-  // packet backend on the Table 1 wild grid.
-  const double burst_head = 80.0 * 1024.0;
-
-  // Per-flow pacing: a flow's bytes enter the network over a window sized
-  // by this rate, standing in for its TCP ramp. Mice fit in one segment;
-  // elephants stretch across many, so the profile keeps the long-timescale
-  // intensity trend of the flow-level workload.
-  const double pace = std::max(cfg.target_rate * 0.25, mbps(1.0));
-  const double step_s = to_seconds(step);
-  const double end_s = static_cast<double>(segments) * step_s;
-
-  for (const auto& f : flows) {
-    auto& cls = f.differentiated ? out.diff : out.dflt;
-    auto& burst_cls = f.differentiated ? out.burst_diff : out.burst_dflt;
-    double bytes = static_cast<double>(f.bytes);
-    double s0 = to_seconds(f.start);
-    if (s0 >= end_s) s0 = end_s - step_s;  // clamp into the last segment
-    const auto start_seg = std::min(
-        static_cast<std::size_t>(s0 / step_s), segments - 1);
-    const double head = std::min(bytes, burst_head);
-    burst_cls[start_seg] += head;
-    bytes -= head;
-    if (bytes <= 0.0) continue;
-    const double window = std::max(step_s, bytes * 8.0 / pace);
-    // Truncate the spread window at the profile end: the tail mass folds
-    // back proportionally so bytes are conserved exactly.
-    const double s1 = std::min(s0 + window, end_s);
-    const double span = std::max(s1 - s0, step_s * 1e-6);
-    // Distribute bytes over the overlapped segments, proportional to
-    // overlap; add as rate (bits/sec over the segment).
-    const auto first = static_cast<std::size_t>(s0 / step_s);
-    auto last = static_cast<std::size_t>(s1 / step_s);
-    if (last >= segments) last = segments - 1;
-    double assigned = 0.0;
-    for (std::size_t i = first; i <= last; ++i) {
-      const double lo = std::max(s0, static_cast<double>(i) * step_s);
-      const double hi =
-          std::min(s1, static_cast<double>(i + 1) * step_s);
-      if (hi <= lo) continue;
-      const double share = bytes * (hi - lo) / span;
-      cls[i] += share * 8.0 / step_s;
-      assigned += share;
-    }
-    // Rounding leftovers (and the truncated tail) land in the last
-    // overlapped segment.
-    if (assigned < bytes) cls[last] += (bytes - assigned) * 8.0 / step_s;
-  }
-  return out;
 }
 
 }  // namespace wehey::trace

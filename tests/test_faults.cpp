@@ -284,33 +284,6 @@ TEST_P(ChaosPlan, SessionSurvivesWithDefinedOutcome) {
   }
 }
 
-// The same crossing with the fluid background carrier: every shipped
-// plan must keep a defined outcome when WEHEY_BG_MODE=fluid swaps the
-// packet background for the fluid-rate aggregate.
-TEST_P(ChaosPlan, SessionSurvivesWithDefinedOutcomeUnderFluidBg) {
-  const char* saved = std::getenv("WEHEY_BG_MODE");
-  const std::string restore = saved == nullptr ? "" : saved;
-  ::setenv("WEHEY_BG_MODE", "fluid", 1);
-  auto cfg = chaos_session_config();
-  cfg.fault_plan = faults::shipped_plan(GetParam(), chaos_seed());
-  topology::TopologyDatabase db;
-  replay::seed_topology_database(cfg.scenario, db);
-  const auto result = replay::run_session(cfg, db);
-  if (saved == nullptr) {
-    ::unsetenv("WEHEY_BG_MODE");
-  } else {
-    ::setenv("WEHEY_BG_MODE", restore.c_str(), 1);
-  }
-
-  EXPECT_STRNE(replay::to_string(result.outcome), "?");
-  EXPECT_GT(result.finished_at, 0);
-  ASSERT_FALSE(result.events.empty());
-  for (std::size_t i = 1; i < result.events.size(); ++i) {
-    EXPECT_GE(result.events[i].at, result.events[i - 1].at)
-        << result.events[i].what;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllShippedPlans, ChaosPlan,
     ::testing::ValuesIn(faults::shipped_plan_names()),

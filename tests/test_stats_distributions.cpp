@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "stats/distributions.hpp"
 
@@ -74,6 +78,40 @@ TEST(StudentT, TwoSidedPSymmetric) {
               2.0 * (1.0 - student_t_cdf(2.0, 10)), 1e-10);
   EXPECT_NEAR(student_t_two_sided_p(-2.0, 10),
               student_t_two_sided_p(2.0, 10), 1e-12);
+}
+
+// Localizations call these on every trial-engine worker at once. Each of
+// 4 concurrent threads must reproduce the serial results bit for bit (no
+// shared libm state such as lgamma's `signgam`).
+std::vector<std::uint64_t> beta_and_t_bits() {
+  std::vector<std::uint64_t> out;
+  for (double a : {0.5, 1.5, 4.0, 12.0}) {
+    for (double b : {0.5, 2.0, 9.0}) {
+      for (double x : {0.05, 0.3, 0.5, 0.8, 0.97}) {
+        out.push_back(std::bit_cast<std::uint64_t>(incomplete_beta(a, b, x)));
+      }
+    }
+  }
+  for (double df : {1.0, 3.0, 10.0, 57.0}) {
+    for (double t : {-4.0, -1.3, 0.2, 2.0, 6.5}) {
+      out.push_back(std::bit_cast<std::uint64_t>(student_t_cdf(t, df)));
+    }
+  }
+  return out;
+}
+
+TEST(IncompleteBeta, ConcurrentEvaluationMatchesSerialBitForBit) {
+  const auto serial = beta_and_t_bits();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint64_t>> results(kThreads);
+  std::vector<std::thread> workers;
+  for (int i = 0; i < kThreads; ++i) {
+    workers.emplace_back([&results, i] {
+      for (int rep = 0; rep < 50; ++rep) results[i] = beta_and_t_bits();
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (const auto& r : results) EXPECT_EQ(r, serial);
 }
 
 TEST(Kolmogorov, KnownValues) {
