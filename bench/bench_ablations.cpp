@@ -78,7 +78,7 @@ void eval_variant(const CorrVariant& v, const VariantInputs& in) {
 
 int main() {
   bench::print_header("Ablations", "WeHeY design choices");
-  bench::ObservedSweep obs_run("bench_ablations");
+  obs::ObservedSweep obs_run("bench_ablations");
   const auto scale = run_scale();
   const int runs = scale.full ? 12 : 4;
 

@@ -189,7 +189,7 @@ double events_per_sec_bound(std::size_t lanes, std::size_t total,
 
 int main() {
   bench::print_header("Event loop", "events/sec and parallel grid speedup");
-  bench::ObservedSweep obs_run("bench_event_loop");
+  obs::ObservedSweep obs_run("bench_event_loop");
 
   // (1) Event-loop microbenchmark. The configurations are measured
   // round-robin across several reps and the best rep of each is kept:

@@ -53,7 +53,7 @@ void scenario_report(const char* title, const std::vector<double>& x,
 
 int main() {
   bench::print_header("Figure 2", "throughput distributions, O_diff vs T_diff");
-  bench::ObservedSweep obs_run("bench_fig2_tput_dists");
+  obs::ObservedSweep obs_run("bench_fig2_tput_dists");
   Rng rng(2024);
 
   // (a) Per-client throttling: the wild model.

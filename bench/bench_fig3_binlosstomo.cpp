@@ -18,7 +18,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("Figure 3", "BinLossTomo threshold sensitivity");
-  bench::ObservedSweep obs_run("bench_fig3_binlosstomo");
+  obs::ObservedSweep obs_run("bench_fig3_binlosstomo");
 
   auto cfg = default_scenario("Netflix", 77);
   cfg.replay_duration = seconds(30);

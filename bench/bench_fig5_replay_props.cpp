@@ -34,7 +34,7 @@ void print_box(const char* name, const std::vector<double>& xs) {
 
 int main() {
   bench::print_header("Figure 5", "original-replay retx rate & queueing delay");
-  bench::ObservedSweep obs_run("bench_fig5_replay_props");
+  obs::ObservedSweep obs_run("bench_fig5_replay_props");
   const auto scale = run_scale();
 
   // (i) Our emulation grid (TCP trace, limiter on the common link),

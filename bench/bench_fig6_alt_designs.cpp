@@ -56,7 +56,7 @@ DesignStats run_app_grid(const std::string& app) {
 
 int main() {
   bench::print_header("Figure 6", "FN of alternative designs");
-  bench::ObservedSweep obs_run("bench_fig6_alt_designs");
+  obs::ObservedSweep obs_run("bench_fig6_alt_designs");
 
   std::printf("(a) TCP trace\n");
   const auto tcp = run_app_grid("Netflix");

@@ -61,7 +61,7 @@ void print_row(const char* label, const Outcome& o) {
 
 int main() {
   bench::print_header("§3.2/§7", "per-flow throttling and the countermeasure");
-  bench::ObservedSweep obs_run("bench_perflow");
+  obs::ObservedSweep obs_run("bench_perflow");
   const auto scale = run_scale();
   const std::size_t runs = scale.full ? 10 : 4;
 

@@ -16,7 +16,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("Table 1", "localization success rate per ISP (wild)");
-  bench::ObservedSweep obs_run("bench_table1_wild");
+  obs::ObservedSweep obs_run("bench_table1_wild");
   const auto scale = run_scale();
   const std::size_t tests_per_isp = scale.full ? 50 : 12;
   const std::size_t sanity_per_isp = scale.full ? 10 : 3;
@@ -29,7 +29,7 @@ int main() {
 
   // WEHEY_FAULT_PLAN runs the whole grid under a shipped chaos plan; the
   // per-kind injection tallies land in the RunReport.
-  const auto plan = bench::fault_plan_from_env();
+  const auto plan = faults::fault_plan_from_env();
   if (plan.has_value()) {
     obs_run.report().fault_plan = plan->name;
     std::printf("fault plan: %s (seed %llu)\n", plan->name.c_str(),
@@ -90,7 +90,6 @@ int main() {
       // bottleneck while a third flow shares it.
       if (const auto* entry = obs_run.cached(run_ids[i])) {
         const obs::JsonValue doc = obs_run.absorb_cached(*entry);
-        obs_run.record_injection_json(doc);
         // Tallies come from the journaled report's scalar values.
         const obs::JsonValue* values = doc.find("values");
         const obs::JsonValue* pc =
@@ -106,7 +105,6 @@ int main() {
         continue;
       }
       const auto& res = wild_results[i];
-      obs_run.record_injection(res.outcome.injection);
       obs_run.add_run(res.report, &res.metrics);
       if (i < tests_per_isp) {
         localized += res.outcome.localized &&

@@ -15,7 +15,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("Table 3", "FN for different RTT_2 values");
-  bench::ObservedSweep obs_run("bench_table3_rtt");
+  obs::ObservedSweep obs_run("bench_table3_rtt");
   const auto scale = run_scale();
   const std::vector<double> rtts{15, 25, 35, 60, 120};
 

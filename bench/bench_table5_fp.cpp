@@ -17,12 +17,12 @@ using namespace wehey::experiments;
 int main() {
   bench::print_header("Table 5",
                       "FP under identical rate-limiters on l1 and l2");
-  bench::ObservedSweep obs_run("bench_table5_fp");
+  obs::ObservedSweep obs_run("bench_table5_fp");
   const auto scale = run_scale();
 
   // WEHEY_FAULT_PLAN injects a shipped chaos plan into every trial of the
   // grid; the plan name and injection tallies land in the RunReport.
-  const auto plan = bench::fault_plan_from_env();
+  const auto plan = faults::fault_plan_from_env();
   if (plan.has_value()) {
     obs_run.report().fault_plan = plan->name;
     std::printf("fault plan: %s (seed %llu)\n", plan->name.c_str(),
@@ -116,7 +116,6 @@ int main() {
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (const auto* entry = obs_run.cached(run_ids[i])) {
       const obs::JsonValue doc = obs_run.absorb_cached(*entry);
-      obs_run.record_injection_json(doc);
       // FP tallies come from the journaled report's scalar values.
       const obs::JsonValue* values = doc.find("values");
       const obs::JsonValue* lt =
@@ -127,7 +126,6 @@ int main() {
       continue;
     }
     stats[app_of[i]].add(results[i].outcome);
-    obs_run.record_injection(results[i].outcome.injection);
     obs_run.add_run(results[i].report, &results[i].metrics);
   }
 

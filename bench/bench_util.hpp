@@ -6,12 +6,10 @@
 // WEHEY_RUNS_PER_CONFIG=N to override repetitions.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -27,8 +25,6 @@
 #include "experiments/scenario.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/checkpoint.hpp"
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/runtime.hpp"
@@ -121,265 +117,6 @@ struct FpStats {
   double fp_rate() const {
     return experiments > 0 ? 100.0 * fp_loss_trend / experiments : 0.0;
   }
-};
-
-/// The shipped fault plan named by WEHEY_FAULT_PLAN (seeded from
-/// WEHEY_CHAOS_SEED, default 1), or nullopt when the variable is unset.
-/// Lets any bench grid run under fault injection without a rebuild.
-inline std::optional<faults::FaultPlan> fault_plan_from_env() {
-  const char* name = std::getenv("WEHEY_FAULT_PLAN");
-  if (name == nullptr || name[0] == 0) return std::nullopt;
-  std::uint64_t seed = 1;
-  if (const char* s = std::getenv("WEHEY_CHAOS_SEED")) {
-    const long long parsed = std::atoll(s);
-    if (parsed > 0) seed = static_cast<std::uint64_t>(parsed);
-  }
-  return faults::shipped_plan(name, seed);
-}
-
-/// The sweep-level observability harness every bench binary opens first
-/// thing: reads the obs environment (WEHEY_TRACE / WEHEY_METRICS /
-/// WEHEY_REPORT / WEHEY_REPORT_DIR / WEHEY_REPORT_MODE), binds a
-/// run-wide obs::Recorder to the main thread for the binary's lifetime,
-/// and on destruction writes the trace artifacts and the report(s). With
-/// none of the variables set this is a few getenv calls and nothing
-/// else.
-///
-/// Grid benches additionally feed every run of the sweep through
-/// add_run(): the runs fold into a SweepAggregator, and
-/// WEHEY_REPORT_MODE picks what lands on disk —
-///   per-run (default): the binary's own RunReport, plus one file per
-///                      absorbed run under WEHEY_REPORT_DIR;
-///   sweep:             only the aggregated wehey.sweep_report.v1;
-///   both:              everything.
-class ObservedSweep {
- public:
-  explicit ObservedSweep(std::string run_name)
-      : obs_(obs::RunObservation::from_env()),
-        bind_(obs_.recorder.get()),
-        mode_(obs::report_mode_from_env()),
-        aggregator_(run_name),
-        meter_(run_name),
-        wall_start_(std::chrono::steady_clock::now()) {
-    report_.run = std::move(run_name);
-    // Engine runtime telemetry (WEHEY_RUNTIME_REPORT): wall-clock profiler
-    // sidecar, deliberately separate from the deterministic report files.
-    obs::runtime::enable_from_env();
-    // Checkpointing (WEHEY_CHECKPOINT=<journal path>): an existing
-    // journal means this sweep is a resume — completed runs are served
-    // from it via cached()/absorb_cached() and only the rest execute.
-    const std::string ckpt = obs::checkpoint_path_from_env();
-    if (!ckpt.empty()) {
-      std::string error;
-      if (!obs::CheckpointJournal::load(ckpt, journal_, &error)) {
-        std::fprintf(stderr, "checkpoint: %s (ignoring journal)\n",
-                     error.c_str());
-        journal_ = obs::CheckpointJournal{};
-      }
-      if (!checkpoint_.open(ckpt, report_.run)) {
-        std::fprintf(stderr, "checkpoint: FAILED to open %s\n",
-                     ckpt.c_str());
-      } else if (!journal_.empty()) {
-        std::printf("checkpoint: resuming from %s (%zu completed runs)\n",
-                    ckpt.c_str(), journal_.size());
-      }
-    }
-  }
-  ObservedSweep(const ObservedSweep&) = delete;
-  ObservedSweep& operator=(const ObservedSweep&) = delete;
-
-  bool enabled() const { return obs_.enabled(); }
-  obs::RunReport& report() { return report_; }
-  obs::Recorder* recorder() { return obs_.recorder.get(); }
-  obs::ReportMode mode() const { return mode_; }
-  obs::SweepAggregator& aggregator() { return aggregator_; }
-
-  /// Announce how many runs the sweep will absorb in total, enabling the
-  /// progress meter's ETA (WEHEY_PROGRESS=plain|tty).
-  void expect_runs(std::size_t total) { meter_.expect(total); }
-
-  obs::ProgressMeter& progress() { return meter_; }
-
-  /// Fold a session's / test's injector tallies into the report.
-  void record_injection(const faults::InjectionStats& stats) {
-    for (const auto& [kind, count] : stats.by_kind()) {
-      report_.injection[kind] += count;
-    }
-  }
-
-  /// Absorb one run of the sweep. In per-run / both modes the run's own
-  /// report is also written as "<WEHEY_REPORT_DIR>/<run.run>.report.json"
-  /// (run names must be unique within the sweep). Call in a
-  /// deterministic order — the sweep file is byte-identical across
-  /// absorb orders anyway, but the per-run files overwrite by name and
-  /// the checkpoint journal records this order as the run index.
-  void add_run(const obs::RunReport& run,
-               const obs::MetricsRegistry* metrics) {
-    aggregator_.add_run(run, metrics);
-    meter_.note_run(run.verdict, run.decision.has_margin,
-                    run.decision.margin);
-    std::string json;
-    if (checkpoint_.is_open()) {
-      json = run.to_json(metrics);
-      obs::CheckpointEntry entry;
-      entry.run = run.run;
-      entry.cell = run.cell;
-      entry.seed = run.seed;
-      entry.index = next_run_index_;
-      entry.report_json = json;
-      checkpoint_.append(entry);
-    }
-    ++next_run_index_;
-    if (mode_ == obs::ReportMode::kSweep) return;
-    const char* dir = std::getenv("WEHEY_REPORT_DIR");
-    if (dir == nullptr || dir[0] == 0) return;
-    const std::string path =
-        std::string(dir) + "/" + run.run + ".report.json";
-    if (json.empty()) json = run.to_json(metrics);
-    if (!obs::write_report_file(path, json)) {
-      std::fprintf(stderr, "report: FAILED to write %s\n", path.c_str());
-    }
-  }
-
-  /// The journaled entry of a completed run from the journal this sweep
-  /// resumed from, or nullptr when the run must (re-)execute.
-  const obs::CheckpointEntry* cached(const std::string& run_id) const {
-    return journal_.find(run_id);
-  }
-
-  /// Re-absorb a journaled run instead of executing it. The embedded
-  /// report's exact bytes go through the aggregator's offline path
-  /// (bit-equal to add_run) and — in per-run / both modes — back into the
-  /// per-run report file, so a resumed sweep's artifacts are
-  /// byte-identical to an uninterrupted run's. Returns the parsed report
-  /// document (Type::Null on a malformed entry) so callers can rebuild
-  /// their own tallies from it.
-  obs::JsonValue absorb_cached(const obs::CheckpointEntry& entry) {
-    obs::JsonValue doc;
-    std::string error;
-    if (!obs::json_parse(entry.report_json, doc, &error)) {
-      std::fprintf(stderr, "checkpoint: bad journaled report for %s: %s\n",
-                   entry.run.c_str(), error.c_str());
-      return obs::JsonValue{};
-    }
-    if (!aggregator_.add_run_json(doc, &error)) {
-      std::fprintf(stderr, "checkpoint: cannot absorb %s: %s\n",
-                   entry.run.c_str(), error.c_str());
-      return obs::JsonValue{};
-    }
-    meter_.note_resumed();
-    ++next_run_index_;
-    if (mode_ != obs::ReportMode::kSweep) {
-      const char* dir = std::getenv("WEHEY_REPORT_DIR");
-      if (dir != nullptr && dir[0] != 0) {
-        const std::string path =
-            std::string(dir) + "/" + entry.run + ".report.json";
-        if (!obs::write_report_file(path, entry.report_json)) {
-          std::fprintf(stderr, "report: FAILED to write %s\n", path.c_str());
-        }
-      }
-    }
-    return doc;
-  }
-
-  /// record_injection for a journaled run: fold the report document's
-  /// per-kind injection counts (minus the derived "total") into the
-  /// binary's own report.
-  void record_injection_json(const obs::JsonValue& doc) {
-    const obs::JsonValue* injection = doc.find("injection");
-    if (injection == nullptr ||
-        injection->type != obs::JsonValue::Type::Object) {
-      return;
-    }
-    for (const auto& [kind, count] : injection->object) {
-      if (kind == "total") continue;
-      report_.injection[kind] += static_cast<int>(count.num_or(0.0));
-    }
-  }
-
-  std::size_t runs() const { return aggregator_.runs(); }
-
-  ~ObservedSweep() {
-    if (obs_.enabled() && !obs_.trace_path.empty()) {
-      if (obs_.write_trace()) {
-        std::printf("trace: %s (+ %s)\n", obs_.trace_path.c_str(),
-                    obs::RunObservation::csv_path(obs_.trace_path).c_str());
-      } else {
-        std::fprintf(stderr, "trace: FAILED to write %s\n",
-                     obs_.trace_path.c_str());
-      }
-    }
-    const obs::MetricsRegistry* metrics =
-        obs_.recorder != nullptr ? &obs_.recorder->metrics() : nullptr;
-    // Profile the binary's own report if nothing filled it explicitly:
-    // from the finalized timeline when tracing (every (pid, tid) pair is
-    // its own track), else from the recorded stages (one track each —
-    // conservative: no cross-stage nesting assumed).
-    if (report_.profile.empty()) {
-      if (obs_.recorder != nullptr && obs_.recorder->trace_on()) {
-        report_.profile = obs::profile_from_spans(
-            obs::profile_spans_from_timeline(obs_.recorder->timeline()));
-      } else if (!report_.stages.empty()) {
-        std::vector<obs::ProfileSpan> spans;
-        for (std::size_t i = 0; i < report_.stages.size(); ++i) {
-          const auto& s = report_.stages[i];
-          spans.push_back({static_cast<std::int64_t>(i), s.name, s.sim_start,
-                           s.sim_end, s.wall_ms});
-        }
-        report_.profile = obs::profile_from_spans(std::move(spans));
-      }
-    }
-    if (obs::report_wall_times()) {
-      report_.values["wall_ms_total"] =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start_)
-              .count();
-    }
-    if (mode_ != obs::ReportMode::kSweep) {
-      const std::string path = obs::report_path_from_env(report_.run);
-      if (!path.empty()) {
-        if (obs::write_report_file(path, report_.to_json(metrics))) {
-          std::printf("report: %s\n", path.c_str());
-        } else {
-          std::fprintf(stderr, "report: FAILED to write %s\n", path.c_str());
-        }
-      }
-    }
-    if (mode_ != obs::ReportMode::kPerRun) {
-      const std::string path = obs::sweep_path_from_env(report_.run);
-      if (!path.empty()) {
-        // A sweep of zero absorbed runs (a single-run binary under
-        // sweep mode) aggregates its own report, so the file is never
-        // an empty shell.
-        if (aggregator_.runs() == 0) aggregator_.add_run(report_, metrics);
-        if (obs::write_report_file(path, aggregator_.to_json())) {
-          std::printf("sweep report: %s (%zu runs)\n", path.c_str(),
-                      aggregator_.runs());
-        } else {
-          std::fprintf(stderr, "sweep report: FAILED to write %s\n",
-                       path.c_str());
-        }
-      }
-    }
-    // Final wall-clock summary (always, when runs were absorbed) and the
-    // runtime-telemetry sidecar. Both live outside the deterministic
-    // report files: the summary goes to stderr, the sidecar to its own
-    // WEHEY_RUNTIME_REPORT path.
-    meter_.finish();
-    obs::runtime::write_runtime_report_from_env(report_.run);
-  }
-
- private:
-  obs::RunObservation obs_;
-  obs::ScopedRecorder bind_;
-  obs::ReportMode mode_;
-  obs::SweepAggregator aggregator_;
-  obs::ProgressMeter meter_;  ///< live sweep progress (WEHEY_PROGRESS)
-  obs::RunReport report_;
-  obs::CheckpointJournal journal_;   ///< completed runs of a killed sweep
-  obs::CheckpointWriter checkpoint_; ///< open iff WEHEY_CHECKPOINT is set
-  std::uint64_t next_run_index_ = 0;
-  std::chrono::steady_clock::time_point wall_start_;
 };
 
 // ------------------------------------------------------- BENCH_*.json I/O

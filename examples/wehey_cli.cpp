@@ -7,11 +7,12 @@
 //   wehey_cli session  [--seed N] [--churn] [--decline]
 //   wehey_cli topology [--clients N] [--seed N]
 //   wehey_cli sweep    [--app NAME] [--runs N] [--fp]
-//                      [--checkpoint PATH [--resume]] [--out PATH]
+//                      [--checkpoint PATH] [--out PATH]
 //                      (with --checkpoint/--out: full experiments ->
 //                      sweep_report.v1, one flushed journal line per
-//                      completed run; --resume skips journaled runs and
-//                      reproduces the uninterrupted bytes)
+//                      completed run; an existing journal is resumed:
+//                      journaled runs are skipped and the uninterrupted
+//                      bytes reproduced)
 //   wehey_cli trace    [--seed N] [--max-events N]   (ascii packet trace)
 //   wehey_cli full     [--app NAME] [--seed N] [--out PATH] [--faults NAME]
 //                      (full 4-phase experiment -> RunReport; JSON to
@@ -24,14 +25,14 @@
 //                      [--require-key RE]...
 //                      (regression gate: nonzero exit on drift)
 //
-// The wild and session commands honour the observability environment
-// (WEHEY_TRACE=path, WEHEY_METRICS=1, WEHEY_REPORT=path /
-// WEHEY_REPORT_DIR=dir, WEHEY_REPORT_MODE=per-run|sweep|both) and inject
-// a shipped chaos plan with --faults NAME (or WEHEY_FAULT_PLAN=NAME;
-// seed: WEHEY_CHAOS_SEED). Engine runtime telemetry: WEHEY_RUNTIME_REPORT=
-// path writes a wall-clock wehey.runtime_report.v1 sidecar (never part of
-// the deterministic report files), WEHEY_PROGRESS=plain|tty streams live
-// sweep progress to stderr.
+// Every command but inspect, merge and compare runs under
+// obs::ObservedSweep, the benches' run harness: wild and session honour
+// the observability environment (WEHEY_TRACE, WEHEY_METRICS, WEHEY_REPORT
+// / WEHEY_REPORT_DIR, WEHEY_REPORT_MODE), WEHEY_RUNTIME_REPORT writes a
+// wall-clock sidecar and WEHEY_PROGRESS streams sweep progress; notices go
+// to stderr. wild, session, sweep and full inject a shipped chaos plan
+// with --faults NAME (or WEHEY_FAULT_PLAN; seed: --chaos-seed /
+// WEHEY_CHAOS_SEED).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,12 +49,9 @@
 #include "faults/plan.hpp"
 #include "experiments/scenario.hpp"
 #include "netsim/tracer.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/checkpoint.hpp"
 #include "obs/inspect.hpp"
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
-#include "obs/runtime.hpp"
 #include "replay/session.hpp"
 #include "topology/construction.hpp"
 #include "topology/database.hpp"
@@ -98,87 +96,25 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// Process-level observation shared by the subcommands. Commands fill
-/// `report`; main() binds the recorder and writes the artifacts on exit.
-/// WEHEY_REPORT_MODE picks what finish() writes: the per-run report
-/// (default), a single-run wehey.sweep_report.v1 (sweep), or both.
-struct CliObservation {
-  obs::RunObservation run;
-  obs::RunReport report;
-
-  void finish() {
-    if (!run.enabled()) return;
-    if (!run.trace_path.empty()) {
-      if (run.write_trace()) {
-        std::fprintf(stderr, "trace: %s (+ %s)\n", run.trace_path.c_str(),
-                     obs::RunObservation::csv_path(run.trace_path).c_str());
-      } else {
-        std::fprintf(stderr, "trace: FAILED to write %s\n",
-                     run.trace_path.c_str());
-      }
-    }
-    if (report.run.empty()) return;  // command doesn't emit a report
-    if (report.profile.empty()) {
-      if (run.recorder != nullptr && run.recorder->trace_on()) {
-        report.profile = obs::profile_from_spans(
-            obs::profile_spans_from_timeline(run.recorder->timeline()));
-      } else if (!report.stages.empty()) {
-        std::vector<obs::ProfileSpan> spans;
-        for (std::size_t i = 0; i < report.stages.size(); ++i) {
-          const auto& s = report.stages[i];
-          spans.push_back({static_cast<std::int64_t>(i), s.name,
-                           s.sim_start, s.sim_end, s.wall_ms});
-        }
-        report.profile = obs::profile_from_spans(std::move(spans));
-      }
-    }
-    const obs::MetricsRegistry* metrics = &run.recorder->metrics();
-    const obs::ReportMode mode = obs::report_mode_from_env();
-    if (mode != obs::ReportMode::kSweep) {
-      const std::string path = obs::report_path_from_env(report.run);
-      if (!path.empty()) {
-        if (obs::write_report_file(path, report.to_json(metrics))) {
-          std::fprintf(stderr, "report: %s\n", path.c_str());
-        } else {
-          std::fprintf(stderr, "report: FAILED to write %s\n", path.c_str());
-        }
-      }
-    }
-    if (mode != obs::ReportMode::kPerRun) {
-      const std::string path = obs::sweep_path_from_env(report.run);
-      if (!path.empty()) {
-        obs::SweepAggregator agg(report.run);
-        agg.add_run(report, metrics);
-        if (obs::write_report_file(path, agg.to_json())) {
-          std::fprintf(stderr, "sweep report: %s (%zu runs)\n", path.c_str(),
-                       agg.runs());
-        } else {
-          std::fprintf(stderr, "sweep report: FAILED to write %s\n",
-                       path.c_str());
-        }
-      }
-    }
+/// `json` to `path` (announced on stderr as `what`), or to stdout when no
+/// path is given. Returns the command's exit status.
+int emit_json(const std::string& json, const std::string& path,
+              const std::string& what, const std::string& note = {}) {
+  if (path.empty()) {
+    std::fputs(json.c_str(), stdout);
+    return 0;
   }
-};
+  return obs::write_artifact(what, path, json, note) ? 0 : 1;
+}
 
-CliObservation* g_obs = nullptr;
+/// The run harness of this invocation (see main()).
+obs::ObservedSweep* g_harness = nullptr;
 
-/// Shipped chaos plan from --faults NAME, falling back to WEHEY_FAULT_PLAN;
-/// the fault seed comes from --chaos-seed / WEHEY_CHAOS_SEED (default 1).
+/// Shipped chaos plan from --faults NAME / --chaos-seed N, falling back to
+/// WEHEY_FAULT_PLAN / WEHEY_CHAOS_SEED.
 std::optional<faults::FaultPlan> fault_plan_from(const Args& args) {
-  std::string name = args.get("faults", "");
-  if (name.empty()) {
-    if (const char* env = std::getenv("WEHEY_FAULT_PLAN")) name = env;
-  }
-  if (name.empty() || name == "0") return std::nullopt;
-  std::uint64_t seed = static_cast<std::uint64_t>(args.num("chaos-seed", 0));
-  if (seed == 0) {
-    if (const char* env = std::getenv("WEHEY_CHAOS_SEED")) {
-      seed = std::strtoull(env, nullptr, 10);
-    }
-  }
-  if (seed == 0) seed = 1;
-  return faults::shipped_plan(name, seed);
+  return faults::fault_plan_from_env(args.get("faults", ""),
+                                     args.get("chaos-seed", ""));
 }
 
 ScenarioConfig scenario_from(const Args& args) {
@@ -270,7 +206,7 @@ int cmd_wild(const Args& args) {
     std::printf(" (%d phase%s hit)\n", out.faulted_phases,
                 out.faulted_phases == 1 ? "" : "s");
   }
-  g_obs->report = res.report;
+  g_harness->report() = res.report;
   return 0;
 }
 
@@ -297,7 +233,8 @@ int cmd_session(const Args& args) {
     std::printf("[%9.3fs] %s\n", to_seconds(ev.at), ev.what.c_str());
   }
   std::printf("outcome: %s\n", replay::to_string(result.outcome));
-  g_obs->report = replay::make_run_report(cfg, result, "wehey_cli_session");
+  g_harness->report() =
+      replay::make_run_report(cfg, result, "wehey_cli_session");
   return 0;
 }
 
@@ -316,58 +253,27 @@ int cmd_topology(const Args& args) {
   return 0;
 }
 
-/// Checkpointed sweep: `runs` full 4-phase experiments, one flushed
-/// wehey.sweep_checkpoint.v1 journal line per completed run. With
-/// --resume, journaled runs are skipped and their reports re-absorbed in
-/// index order, so the sweep report is byte-identical to an
-/// uninterrupted run's.
+/// Checkpointed sweep: `runs` full 4-phase experiments through the run
+/// harness, which journals each completed run (--checkpoint) and serves
+/// the runs of an existing journal back, so a resumed sweep report is
+/// byte-identical to an uninterrupted run's.
 int run_checkpointed_sweep(const Args& args, const std::string& app,
                            std::size_t runs, bool fp_mode) {
-  const std::string ckpt_path = args.get("checkpoint", "");
-  const std::string out_path = args.get("out", "");
+  obs::ObservedSweep& harness = *g_harness;
   const auto plan = fault_plan_from(args);
-  obs::SweepAggregator agg("wehey_cli_sweep");
-  obs::CheckpointJournal journal;
-  obs::CheckpointWriter writer;
-  if (!ckpt_path.empty()) {
-    if (args.has("resume")) {
-      std::string error;
-      if (!obs::CheckpointJournal::load(ckpt_path, journal, &error)) {
-        std::fprintf(stderr, "sweep: %s\n", error.c_str());
-        return 1;
-      }
-      if (!journal.empty()) {
-        std::fprintf(stderr, "sweep: resuming from %s (%zu completed)\n",
-                     ckpt_path.c_str(), journal.size());
-      }
-    }
-    if (!writer.open(ckpt_path, "wehey_cli_sweep")) {
-      std::fprintf(stderr, "sweep: cannot open checkpoint %s\n",
-                   ckpt_path.c_str());
-      return 1;
-    }
-  }
-  obs::ProgressMeter meter("wehey_cli_sweep");
-  meter.expect(runs);
+  harness.expect_runs(runs);
   HistoryConfig hist;
   hist.replays = 6;
   for (std::size_t i = 0; i < runs; ++i) {
     char run_id[64];
     std::snprintf(run_id, sizeof(run_id), "wehey_cli_sweep.%s.r%03zu",
                   app.c_str(), i);
-    if (const auto* entry = journal.find(run_id)) {
-      obs::JsonValue doc;
-      std::string error;
-      if (!obs::json_parse(entry->report_json, doc, &error) ||
-          !agg.add_run_json(doc, &error)) {
-        std::fprintf(stderr, "sweep: bad journal entry %s: %s\n", run_id,
-                     error.c_str());
-        return 1;
-      }
+    if (const auto* entry = harness.cached(run_id)) {
+      const obs::JsonValue doc = harness.absorb_cached(*entry);
+      if (doc.type == obs::JsonValue::Type::Null) return 1;
       const obs::JsonValue* verdict = doc.find("verdict");
       std::fprintf(stderr, "%s: cached (%s)\n", run_id,
                    verdict != nullptr ? verdict->str.c_str() : "?");
-      meter.note_resumed();
       continue;
     }
     auto cfg = default_scenario(app, 7000 + i);
@@ -376,45 +282,23 @@ int run_checkpointed_sweep(const Args& args, const std::string& app,
     const auto t_diff = build_t_diff_history(cfg, hist);
     auto res = run_full_experiment_reported(cfg, t_diff, run_id);
     res.report.cell = app;
-    if (writer.is_open()) {
-      obs::CheckpointEntry entry;
-      entry.run = run_id;
-      entry.cell = res.report.cell;
-      entry.seed = res.report.seed;
-      entry.index = i;
-      entry.report_json = res.report.to_json(&res.metrics);
-      writer.append(entry);
-    }
-    agg.add_run(res.report, &res.metrics);
+    harness.add_run(res.report, &res.metrics);
     std::fprintf(stderr, "%s: %s%s%s\n", run_id,
                  res.report.verdict.c_str(),
                  res.report.reason.empty() ? "" : " — ",
                  res.report.reason.c_str());
-    meter.note_run(res.report.verdict, res.report.decision.has_margin,
-                   res.report.decision.margin);
   }
-  // One-line wall-clock summary on stderr — the report JSON may be going
-  // to stdout, so this must never touch it.
-  meter.finish();
-  const std::string json = agg.to_json();
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-    return 0;
-  }
-  if (!obs::write_report_file(out_path, json)) {
-    std::fprintf(stderr, "sweep: FAILED to write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "sweep report: %s (%zu runs)\n", out_path.c_str(),
-               agg.runs());
-  return 0;
+  return emit_json(harness.aggregator().to_json(), args.get("out", ""),
+                   "sweep report",
+                   " (" + std::to_string(harness.aggregator().runs()) +
+                       " runs)");
 }
 
 int cmd_sweep(const Args& args) {
   const auto app = args.get("app", "Netflix");
   const auto runs = static_cast<std::size_t>(args.num("runs", 6));
   const bool fp_mode = args.has("fp");
-  if (args.has("checkpoint") || args.has("resume") || args.has("out")) {
+  if (args.has("checkpoint") || args.has("out")) {
     return run_checkpointed_sweep(args, app, runs, fp_mode);
   }
   int detected = 0, confirmed = 0;
@@ -454,20 +338,11 @@ int cmd_full(const Args& args) {
   std::fprintf(stderr, "verdict: %s%s%s\n", res.report.verdict.c_str(),
                res.report.reason.empty() ? "" : " — ",
                res.report.reason.c_str());
-  const std::string json = res.report.to_json(&res.metrics);
+  // Pipe-friendly: with no destination the report itself goes to stdout,
+  // commentary to stderr.
   std::string path = args.get("out", "");
   if (path.empty()) path = obs::report_path_from_env("wehey_cli_full");
-  if (path.empty()) {
-    // Pipe-friendly: the report itself on stdout, commentary on stderr.
-    std::fputs(json.c_str(), stdout);
-    return 0;
-  }
-  if (!obs::write_report_file(path, json)) {
-    std::fprintf(stderr, "report: FAILED to write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "report: %s\n", path.c_str());
-  return 0;
+  return emit_json(res.report.to_json(&res.metrics), path, "report");
 }
 
 int cmd_trace(const Args& args) {
@@ -560,18 +435,8 @@ int cmd_merge(int argc, char** argv) {
       return 1;
     }
   }
-  const std::string json = agg->to_json();
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-    return 0;
-  }
-  if (!obs::write_report_file(out_path, json)) {
-    std::fprintf(stderr, "merge: FAILED to write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "sweep report: %s (%zu runs)\n", out_path.c_str(),
-               agg->runs());
-  return 0;
+  return emit_json(agg->to_json(), out_path, "sweep report",
+                   " (" + std::to_string(agg->runs()) + " runs)");
 }
 
 /// Parse a whole string as a number; false on empty input or trailing
@@ -753,33 +618,25 @@ int main(int argc, char** argv) {
   }
   if (cmd == "merge") return cmd_merge(argc, argv);
   if (cmd == "compare") return cmd_compare(argc, argv);
-  const Args args(argc, argv, 2);
-  CliObservation observation;
-  observation.run = obs::RunObservation::from_env();
-  obs::runtime::enable_from_env();
-  g_obs = &observation;
-  obs::ScopedRecorder bind(observation.run.recorder.get());
-  int rc = 2;
-  if (cmd == "testbed") {
-    rc = cmd_testbed(args);
-  } else if (cmd == "wild") {
-    rc = cmd_wild(args);
-  } else if (cmd == "session") {
-    rc = cmd_session(args);
-  } else if (cmd == "topology") {
-    rc = cmd_topology(args);
-  } else if (cmd == "sweep") {
-    rc = cmd_sweep(args);
-  } else if (cmd == "trace") {
-    rc = cmd_trace(args);
-  } else if (cmd == "full") {
-    rc = cmd_full(args);
-  } else {
+  using Command = int (*)(const Args&);
+  const std::map<std::string, Command> commands = {
+      {"testbed", cmd_testbed}, {"wild", cmd_wild},
+      {"session", cmd_session}, {"topology", cmd_topology},
+      {"sweep", cmd_sweep},     {"trace", cmd_trace},
+      {"full", cmd_full}};
+  const auto command = commands.find(cmd);
+  if (command == commands.end()) {
     std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
+    return 2;
   }
-  observation.finish();
-  obs::runtime::write_runtime_report_from_env(
-      observation.report.run.empty() ? "wehey_cli." + cmd
-                                     : observation.report.run);
-  return rc;
+  const Args args(argc, argv, 2);
+  // The harness binds the recorder for the whole command and, on return,
+  // writes the trace, the runtime sidecar and — for wild and session — the
+  // command's run report. full and sweep write their own documents, the
+  // other commands emit none.
+  obs::ObservedSweep harness(
+      "wehey_cli_" + cmd, cmd == "sweep" ? args.get("checkpoint", "") : "");
+  if (cmd != "wild" && cmd != "session") harness.report().run.clear();
+  g_harness = &harness;
+  return command->second(args);
 }

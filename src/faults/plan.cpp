@@ -1,5 +1,9 @@
 #include "faults/plan.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/check.hpp"
 
 namespace wehey::faults {
@@ -158,6 +162,48 @@ FaultPlan shipped_plan(const std::string& name, std::uint64_t seed) {
     WEHEY_EXPECTS(!"unknown shipped fault plan name");
   }
   return plan;
+}
+
+namespace {
+
+/// `value`, or the environment variable `var` when `value` is empty.
+std::string or_env(const std::string& value, const char* var) {
+  const char* env = value.empty() ? std::getenv(var) : nullptr;
+  return env != nullptr ? env : value;
+}
+
+/// Parse a whole decimal seed; 0 when empty, exits 2 on anything else
+/// that is not a non-negative integer.
+std::uint64_t parse_seed(const std::string& text, const char* source) {
+  if (text.empty()) return 0;
+  char* end = nullptr;
+  const unsigned long long seed = std::strtoull(text.c_str(), &end, 10);
+  if (text[0] == '-' || *end != 0) {
+    std::fprintf(stderr, "%s: not a seed: '%s'\n", source, text.c_str());
+    std::exit(2);
+  }
+  return seed;
+}
+
+}  // namespace
+
+std::optional<FaultPlan> fault_plan_from_env(const std::string& name_arg,
+                                             const std::string& seed_arg) {
+  const std::string name = or_env(name_arg, "WEHEY_FAULT_PLAN");
+  if (name.empty() || name == "0") return std::nullopt;
+  const auto names = shipped_plan_names();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    std::fprintf(stderr, "unknown fault plan '%s'; valid plans:",
+                 name.c_str());
+    for (const auto& valid : names) std::fprintf(stderr, " %s", valid.c_str());
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+  std::uint64_t seed = parse_seed(seed_arg, "--chaos-seed");
+  if (seed == 0) {
+    seed = parse_seed(or_env("", "WEHEY_CHAOS_SEED"), "WEHEY_CHAOS_SEED");
+  }
+  return shipped_plan(name, seed == 0 ? 1 : seed);
 }
 
 }  // namespace wehey::faults

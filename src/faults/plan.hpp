@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,5 +94,15 @@ std::vector<std::string> shipped_plan_names();
 /// Build a shipped plan by name (aborts on unknown names: passing one is
 /// a programming error; the set is compiled in).
 FaultPlan shipped_plan(const std::string& name, std::uint64_t seed);
+
+/// The shipped plan a front end asked for: `name_arg` and `seed_arg` (the
+/// CLI's --faults / --chaos-seed values; empty = not given) override
+/// WEHEY_FAULT_PLAN / WEHEY_CHAOS_SEED. An empty or "0" name means no
+/// plan. The seed is a decimal integer; empty or 0 falls back to the
+/// environment and then to 1. Input from outside the program is checked
+/// here: an unknown plan name or a malformed seed prints the problem (and
+/// the valid names) to stderr and exits with status 2.
+std::optional<FaultPlan> fault_plan_from_env(
+    const std::string& name_arg = {}, const std::string& seed_arg = {});
 
 }  // namespace wehey::faults

@@ -70,10 +70,6 @@ inline constexpr char kDecisionMarginValue[] = "decision_margin";
 /// background-traffic realization can legitimately flip it.
 inline constexpr double kDefaultKnifeEdgeMargin = 0.05;
 
-/// WEHEY_KNIFE_EDGE_MARGIN, or kDefaultKnifeEdgeMargin when unset or
-/// unparsable. Negative values are rejected (fall back to the default).
-double knife_edge_margin_from_env();
-
 class SweepAggregator {
  public:
   explicit SweepAggregator(std::string sweep_name)

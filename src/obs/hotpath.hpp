@@ -9,9 +9,7 @@
 //     thread-local load and one branch, nothing else;
 //   * bound: the handle resolves the metric against the current recorder
 //     once, caches the pointer, and re-resolves only when the binding
-//     changes (a different trial's recorder on this thread);
-//   * -DWEHEY_OBS=OFF: observe()/inc() fold away entirely because
-//     Recorder::current() is a constant nullptr.
+//     changes (a different trial's recorder on this thread).
 //
 // Handles are owned by the instrumented object, so the metric name is
 // built once at construction, not per observation.

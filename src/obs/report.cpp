@@ -48,7 +48,7 @@ AuditSection classify_audit(const GroundTruthSection& truth,
     audit.mismatch_reason = "not-evaluated";
   } else if (!decision.has_margin) {
     audit.mismatch_reason = "no-margin";
-  } else if (std::abs(decision.margin) < knife_edge_margin_from_env()) {
+  } else if (std::abs(decision.margin) < kDefaultKnifeEdgeMargin) {
     audit.mismatch_reason = "sub-margin-miss";
   } else {
     audit.mismatch_reason = "clear-miss";
@@ -373,6 +373,18 @@ bool write_report_file(const std::string& path, const std::string& json) {
   const std::size_t wrote = std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   return wrote == json.size();
+}
+
+bool write_artifact(const std::string& what, const std::string& path,
+                    const std::string& json, const std::string& note) {
+  if (!write_report_file(path, json)) {
+    std::fprintf(stderr, "%s: FAILED to write %s\n", what.c_str(),
+                 path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "%s: %s%s\n", what.c_str(), path.c_str(),
+               note.c_str());
+  return true;
 }
 
 }  // namespace wehey::obs

@@ -243,7 +243,7 @@ struct AuditSection {
   /// Machine-readable reason when observed != expected (empty on match):
   /// "budget-exhausted", "mechanism-mismatch" (verdict localized but the
   /// wrong throttling mechanism), "sub-margin-miss" (|decision margin| <
-  /// WEHEY_KNIFE_EDGE_MARGIN — a knife-edge miss, flagged not failed),
+  /// kDefaultKnifeEdgeMargin — a knife-edge miss, flagged not failed),
   /// "clear-miss", "no-margin", "not-evaluated".
   std::string mismatch_reason;
 };
@@ -253,9 +253,9 @@ struct AuditSection {
 /// the Table-1 wild tests); `mechanism_mismatch` marks a localized verdict
 /// that named the wrong mechanism; `budget_exhausted` runs classify as
 /// "skipped". The mismatch reason cross-references `decision`: a miss
-/// whose |margin| is under WEHEY_KNIFE_EDGE_MARGIN is "sub-margin-miss"
-/// (knife-edge, flagged not failed by the sweep gate). Pure function of
-/// its inputs plus that env knob — deterministic across WEHEY_THREADS.
+/// whose |margin| is under kDefaultKnifeEdgeMargin (aggregate.hpp) is
+/// "sub-margin-miss" (knife-edge, flagged not failed by the sweep gate).
+/// Pure function of its inputs — deterministic across WEHEY_THREADS.
 AuditSection classify_audit(const GroundTruthSection& truth,
                             bool observed_positive, bool mechanism_mismatch,
                             bool budget_exhausted,
@@ -325,5 +325,10 @@ bool report_wall_times();
 
 /// Write `json` to `path`. Returns false on I/O error.
 bool write_report_file(const std::string& path, const std::string& json);
+
+/// write_report_file, announced on stderr as "<what>: <path><note>" (or
+/// "<what>: FAILED to write <path>").
+bool write_artifact(const std::string& what, const std::string& path,
+                    const std::string& json, const std::string& note = {});
 
 }  // namespace wehey::obs

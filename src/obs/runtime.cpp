@@ -194,21 +194,15 @@ void hist_json(std::ostringstream& out, const HistSnapshot& h,
 
 }  // namespace
 
-#ifndef WEHEY_OBS_DISABLED
 namespace detail {
 std::atomic<bool> g_enabled{false};
 }  // namespace detail
-#endif
 
 void set_enabled(bool on) {
-#ifdef WEHEY_OBS_DISABLED
-  (void)on;
-#else
   if (on && state().start_ns.load(std::memory_order_relaxed) == 0) {
     state().start_ns.store(now_ns(), std::memory_order_relaxed);
   }
   detail::g_enabled.store(on, std::memory_order_relaxed);
-#endif
 }
 
 bool enable_from_env() {
@@ -484,7 +478,6 @@ ProgressMeter::Mode progress_mode_from_env() {
 ProgressMeter::ProgressMeter(std::string label)
     : label_(std::move(label)),
       mode_(progress_mode_from_env()),
-      knife_edge_threshold_(knife_edge_margin_from_env()),
       start_(std::chrono::steady_clock::now()),
       last_print_(start_ - std::chrono::hours(1)) {}
 
@@ -492,7 +485,7 @@ void ProgressMeter::note_done(const std::string& verdict, bool has_margin,
                               double margin) {
   ++completed_;
   if (verdict == kBudgetExhaustedVerdict) ++quarantined_;
-  if (has_margin && std::abs(margin) < knife_edge_threshold_) ++knife_edge_;
+  if (has_margin && std::abs(margin) < kDefaultKnifeEdgeMargin) ++knife_edge_;
   maybe_print(/*force=*/total_ > 0 && completed_ == total_);
 }
 

@@ -14,8 +14,6 @@
 //
 //   * disabled (the default): every hook is one relaxed atomic load and a
 //     branch;
-//   * -DWEHEY_OBS=OFF: runtime::enabled() is a constant false, so guarded
-//     hooks fold away entirely;
 //   * enabled (WEHEY_RUNTIME_REPORT set, or set_enabled(true)): per-thread
 //     slots with relaxed atomic counters — writers never share a cache
 //     line with other writers' hot fields, and the only synchronization is
@@ -48,18 +46,14 @@ namespace runtime {
 
 // ------------------------------------------------------------ cheap gate
 
-#ifdef WEHEY_OBS_DISABLED
-inline constexpr bool enabled() { return false; }
-#else
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
-#endif
 
-/// Turn the profiler on/off at runtime. No-op under -DWEHEY_OBS=OFF.
+/// Turn the profiler on/off at runtime.
 void set_enabled(bool on);
 
 /// Enable the profiler iff WEHEY_RUNTIME_REPORT is set (to a non-empty,
@@ -141,8 +135,7 @@ void busy_exit();
 
 /// RAII bracket around one executing region (a chunk-claim loop or a
 /// serial fallback loop). Gating on enabled() at construction keeps the
-/// bracket balanced even if the profiler is toggled mid-region, and folds
-/// the whole class away under -DWEHEY_OBS=OFF.
+/// bracket balanced even if the profiler is toggled mid-region.
 class ScopedBusy {
  public:
   ScopedBusy() : active_(enabled()) {
@@ -259,7 +252,7 @@ class ProgressMeter {
 
   /// One run executed. `has_margin`/`margin` come from the run's decision
   /// section; the knife-edge tally uses the same threshold as the sweep
-  /// aggregator (WEHEY_KNIFE_EDGE_MARGIN).
+  /// aggregator (kDefaultKnifeEdgeMargin).
   void note_run(const std::string& verdict, bool has_margin, double margin) {
     note_done(verdict, has_margin, margin);
   }
@@ -285,7 +278,6 @@ class ProgressMeter {
   std::size_t resumed_ = 0;
   std::size_t quarantined_ = 0;
   std::size_t knife_edge_ = 0;
-  double knife_edge_threshold_ = 0.0;
   bool finished_ = false;
   bool line_open_ = false;  ///< tty mode: last write was a \r line
   std::chrono::steady_clock::time_point start_;

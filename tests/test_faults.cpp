@@ -85,6 +85,50 @@ TEST(FaultPlan, ShippedPlansAreWellFormed) {
   }
 }
 
+TEST(FaultPlanSelection, NameZeroAndSeedHandling) {
+  // CI sweeps this suite over WEHEY_CHAOS_SEED: restore it afterwards (an
+  // empty value reads as unset).
+  const char* ci_seed = std::getenv("WEHEY_CHAOS_SEED");
+  const std::string saved_seed = ci_seed != nullptr ? ci_seed : "";
+  ::unsetenv("WEHEY_CHAOS_SEED");
+  ::unsetenv("WEHEY_FAULT_PLAN");
+  // Unset, empty and "0" mean no plan; an unset or 0 seed means 1.
+  EXPECT_FALSE(faults::fault_plan_from_env().has_value());
+  EXPECT_FALSE(faults::fault_plan_from_env("0").has_value());
+  auto plan = faults::fault_plan_from_env("clock-skew", "0");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->name, "clock-skew");
+  EXPECT_EQ(plan->seed, 1u);
+  EXPECT_EQ(faults::fault_plan_from_env("clock-skew", "23")->seed, 23u);
+  // The environment fills in what the explicit values (--faults /
+  // --chaos-seed) leave empty; explicit values win.
+  ::setenv("WEHEY_FAULT_PLAN", "replay-abort", 1);
+  ::setenv("WEHEY_CHAOS_SEED", "7", 1);
+  plan = faults::fault_plan_from_env("", "0");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->name, "replay-abort");
+  EXPECT_EQ(plan->seed, 7u);
+  plan = faults::fault_plan_from_env("clock-skew", "9");
+  EXPECT_EQ(plan->name, "clock-skew");
+  EXPECT_EQ(plan->seed, 9u);
+  ::setenv("WEHEY_FAULT_PLAN", "0", 1);
+  EXPECT_FALSE(faults::fault_plan_from_env().has_value());
+  ::unsetenv("WEHEY_FAULT_PLAN");
+  ::setenv("WEHEY_CHAOS_SEED", saved_seed.c_str(), 1);
+}
+
+TEST(FaultPlanSelection, UnknownNameOrMalformedSeedExitsWithStatus2) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(faults::fault_plan_from_env("typo"),
+              ::testing::ExitedWithCode(2),
+              "unknown fault plan 'typo'; valid plans: replay-abort "
+              "replay-abort-hard");
+  EXPECT_EXIT(faults::fault_plan_from_env("clock-skew", "7x"),
+              ::testing::ExitedWithCode(2), "not a seed: '7x'");
+  EXPECT_EXIT(faults::fault_plan_from_env("clock-skew", "-3"),
+              ::testing::ExitedWithCode(2), "not a seed: '-3'");
+}
+
 TEST(FaultInjector, DeterministicAcrossInstances) {
   const auto plan = faults::shipped_plan("kitchen-sink", chaos_seed());
   faults::FaultInjector a(plan);

@@ -251,8 +251,8 @@ TEST(Recorder, ScopedBindingNestsAndRestores) {
 }
 
 TEST(Recorder, CsvPathSibling) {
-  EXPECT_EQ(RunObservation::csv_path("out/trace.json"), "out/trace.csv");
-  EXPECT_EQ(RunObservation::csv_path("trace.bin"), "trace.bin.csv");
+  EXPECT_EQ(trace_csv_path("out/trace.json"), "out/trace.csv");
+  EXPECT_EQ(trace_csv_path("trace.bin"), "trace.bin.csv");
 }
 
 // The core determinism contract: the same instrumented parallel loop

@@ -328,15 +328,5 @@ TEST(ProgressMeterTest, TalliesResumedQuarantinedAndKnifeEdge) {
   meter.finish();  // the summary line prints to stderr even in mode off
 }
 
-TEST(ProgressMeterTest, KnifeEdgeThresholdComesFromEnv) {
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "0.2", 1);
-  obs::ProgressMeter meter("unit_margin");
-  meter.note_run("completed", true, 0.1);   // under the widened threshold
-  meter.note_run("completed", true, 0.3);   // over it
-  meter.note_run("completed", false, 0.0);  // no margin: never knife-edge
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
-  EXPECT_EQ(meter.knife_edge(), 1u);
-}
-
 }  // namespace
 }  // namespace wehey

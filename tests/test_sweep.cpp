@@ -1,13 +1,18 @@
 // Sweep-scale observability: the SweepAggregator merge algebra (order-
 // and thread-count-insensitive, offline == in-process), the v3 self-time
-// profile, the baseline comparator behind `wehey_cli compare`, and the
-// schema-version constants' agreement with the JSON Schema files under
-// tools/.
+// profile, the run harness (ObservedSweep: checkpoint resume and the
+// report files each WEHEY_REPORT_MODE writes), the baseline comparator
+// behind `wehey_cli compare`, and the schema-version constants' agreement
+// with the JSON Schema files under tools/.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +20,7 @@
 #include "obs/aggregate.hpp"
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/runtime.hpp"
 #include "parallel/thread_pool.hpp"
@@ -213,8 +219,6 @@ TEST(Sweep, OfflineJsonMergeMatchesInProcessMergeByteForByte) {
 }
 
 TEST(Sweep, KnifeEdgeFlagsOnlyCellsNearTheDecisionBoundary) {
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), kDefaultKnifeEdgeMargin);
   SweepAggregator agg("knife");
   for (std::size_t i = 0; i < 12; ++i) {
     const auto [r, m] = synthetic_run(i);
@@ -236,28 +240,9 @@ TEST(Sweep, KnifeEdgeFlagsOnlyCellsNearTheDecisionBoundary) {
       << block;
   EXPECT_EQ(block.find("\"cell1\""), std::string::npos);
   EXPECT_EQ(block.find("\"cell2\""), std::string::npos);
-
-  // Tightening the env knob empties the block without touching samples.
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "0.001", 1);
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), 0.001);
-  const std::string tight = agg.to_json();
-  const std::size_t tstart = tight.find("\"knife_edge\"");
-  ASSERT_NE(tstart, std::string::npos);
-  const std::string tblock =
-      tight.substr(tstart, tight.find("\"audit\"") - tstart);
-  EXPECT_NE(tblock.find("\"margin_threshold\": 0.001"), std::string::npos);
-  EXPECT_EQ(tblock.find("\"cell0\""), std::string::npos);
-
-  // Unparseable or negative values fall back to the default.
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "wat", 1);
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), kDefaultKnifeEdgeMargin);
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "-0.5", 1);
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), kDefaultKnifeEdgeMargin);
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
 }
 
 TEST(Sweep, AuditFoldsRunClassificationsIntoConfusionMatrices) {
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
   SweepAggregator agg("audit");
   for (std::size_t i = 0; i < 12; ++i) {
     const auto [r, m] = synthetic_run(i);
@@ -818,6 +803,131 @@ TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
   EXPECT_NE(block.find("\"fn\": 0"), std::string::npos);
   EXPECT_NE(block.find("\"skipped\": 0"), std::string::npos);
   EXPECT_NE(block.find("\"accuracy\": 1"), std::string::npos);
+}
+
+// -------------------------------------------------------- run harness
+
+/// A fresh directory for one test, removed afterwards.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::path(::testing::TempDir()) /
+              (name + "." + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  std::string str() const { return path_.string(); }
+  std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+  /// Every file in the directory, by name.
+  std::map<std::string, std::string> contents() const {
+    std::map<std::string, std::string> out;
+    for (const auto& f : std::filesystem::directory_iterator(path_)) {
+      EXPECT_TRUE(read_file(f.path().string(),
+                            out[f.path().filename().string()]));
+    }
+    return out;
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+/// Run synthetic runs 0..n-1 through one harness the way the bench grids
+/// and `wehey_cli sweep` do — journaled runs re-absorbed, the rest added —
+/// with the report files going to `dir` in `mode` ("" = none). Stops
+/// after executing `kill_after` runs, as a sweep killed between runs.
+void drive_sweep(const std::string& dir, const char* mode,
+                 const std::string& journal, std::size_t n,
+                 std::size_t kill_after = SIZE_MAX) {
+  if (!dir.empty()) {
+    ::setenv("WEHEY_REPORT_DIR", dir.c_str(), 1);
+    ::setenv("WEHEY_REPORT_MODE", mode, 1);
+  }
+  {
+    ObservedSweep harness("sweep_test", journal);
+    std::size_t executed = 0;
+    for (std::size_t i = 0; i < n && executed < kill_after; ++i) {
+      const auto [r, m] = synthetic_run(i);
+      if (const CheckpointEntry* entry = harness.cached(r.run)) {
+        EXPECT_NE(harness.absorb_cached(*entry).type, JsonValue::Type::Null);
+        continue;
+      }
+      harness.add_run(r, &m);
+      ++executed;
+    }
+  }
+  ::unsetenv("WEHEY_REPORT_DIR");
+  ::unsetenv("WEHEY_REPORT_MODE");
+}
+
+TEST(Harness, KilledAndResumedSweepIsByteIdentical) {
+  ScratchDir ref("harness_ref");
+  drive_sweep(ref.str(), "sweep", "", 9);
+  ScratchDir resumed("harness_resumed");
+  const std::string journal = resumed.file("journal.jsonl");
+  drive_sweep(resumed.str(), "sweep", journal, 9, /*kill_after=*/4);
+  // The kill also tore the line being appended.
+  std::FILE* f = std::fopen(journal.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fputs("{\"schema\": \"wehey.sweep_checkpoint.v1\", \"sw", f);
+  std::fclose(f);
+  drive_sweep(resumed.str(), "sweep", journal, 9);
+
+  CheckpointJournal loaded;
+  ASSERT_TRUE(CheckpointJournal::load(journal, loaded));
+  EXPECT_EQ(loaded.size(), 9u);
+  std::string want, got;
+  ASSERT_TRUE(read_file(ref.file("sweep_test.sweep.json"), want));
+  ASSERT_TRUE(read_file(resumed.file("sweep_test.sweep.json"), got));
+  EXPECT_NE(want.find("\"runs\": 9"), std::string::npos);
+  EXPECT_EQ(want, got);
+}
+
+TEST(Harness, JournaledRunsRewriteTheirPerRunFiles) {
+  for (const char* mode : {"per-run", "both"}) {
+    SCOPED_TRACE(mode);
+    ScratchDir journal_dir("harness_journal");
+    const std::string journal = journal_dir.file("journal.jsonl");
+    ScratchDir executed("harness_executed");
+    drive_sweep(executed.str(), mode, journal, 6);
+    // A second pass over the complete journal executes nothing, yet
+    // writes the same files, byte for byte.
+    ScratchDir cached("harness_cached");
+    drive_sweep(cached.str(), mode, journal, 6);
+    const auto want = executed.contents();
+    EXPECT_EQ(want.count("sweep_test.c0.r000.report.json"), 1u);
+    EXPECT_EQ(want.size(), std::string(mode) == "both" ? 8u : 7u);
+    EXPECT_EQ(cached.contents(), want);
+  }
+}
+
+TEST(Harness, SweepModeWritesNoPerRunFiles) {
+  ScratchDir dir("harness_sweep_mode");
+  drive_sweep(dir.str(), "sweep", "", 6);
+  const auto files = dir.contents();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files.begin()->first, "sweep_test.sweep.json");
+}
+
+TEST(Harness, CorruptJournalStopsTheSweepAndStaysUntouched) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ScratchDir dir("harness_corrupt");
+  const std::string journal = dir.file("journal.jsonl");
+  drive_sweep("", "", journal, 2);
+  // A flushed bad line between two good ones.
+  std::string text;
+  ASSERT_TRUE(read_file(journal, text));
+  text.insert(text.find('\n') + 1, "{not json\n");
+  ASSERT_TRUE(write_report_file(journal, text));
+  EXPECT_EXIT(drive_sweep("", "", journal, 4), ::testing::ExitedWithCode(1),
+              "journal.jsonl:2: malformed checkpoint line");
+  std::string after;
+  ASSERT_TRUE(read_file(journal, after));
+  EXPECT_EQ(after, text);
 }
 
 // ----------------------------------------------------- report mode env
