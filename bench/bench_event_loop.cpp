@@ -24,6 +24,7 @@
 #include <thread>
 
 #include "bench_util.hpp"
+#include "common/threads.hpp"
 #include "netsim/packet.hpp"
 #include "netsim/simulator.hpp"
 #include "obs/runtime.hpp"
@@ -273,7 +274,7 @@ int main() {
   // (2) Grid speedup through run_trials. A small but real scenario grid;
   // every trial is a full simultaneous experiment.
   std::vector<ScenarioConfig> configs;
-  const unsigned hw = parallel::configured_threads();
+  const unsigned hw = configured_threads();
   const std::size_t grid = std::max<std::size_t>(2 * hw, 8);
   for (std::size_t i = 0; i < grid; ++i) {
     auto cfg = default_scenario("Zoom", 1 + i);

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <regex>
 #include <sstream>
 
-#include "common/time.hpp"
+#include "common/check.hpp"
 #include "obs/timeline.hpp"
 
 namespace wehey::obs {
@@ -120,45 +121,14 @@ void SweepAggregator::absorb_histogram(const std::string& name, double lo,
 
 void SweepAggregator::add_run(const RunReport& report,
                               const MetricsRegistry* metrics) {
-  tally_run(report.cell, report.fault_plan, report.verdict, report.reason);
-  for (const auto& [kind, n] : report.injection) injection_[kind] += n;
-  for (const auto& [name, v] : report.values) {
-    absorb_value(report.cell, name, v);
-  }
-  // The verdict margin joins the cell's value blocks; the knife_edge
-  // block is derived from these samples at render time.
-  if (report.decision.has_margin) {
-    absorb_value(report.cell, kDecisionMarginValue, report.decision.margin);
-  }
-  if (report.audit.present) {
-    absorb_audit(report.cell, report.audit.classification,
-                 report.audit.mismatch_reason);
-  }
-  for (const auto& s : report.stages) {
-    // The identical expression RunReport::to_json serializes, so the
-    // in-process and offline absorb paths see bit-equal doubles.
-    absorb_stage(s.name,
-                 to_milliseconds(s.sim_end) - to_milliseconds(s.sim_start));
-  }
-  for (const auto& p : report.profile) {
-    absorb_profile(p.name, p.count, p.sim_ms, p.self_sim_ms);
-  }
-  if (metrics == nullptr) return;
-  for (const auto& [name, c] : metrics->counters()) {
-    counters_[name] += c.value();
-  }
-  for (const auto& [name, g] : metrics->gauges()) {
-    if (!g.seen()) continue;
-    GaugeAgg& mine = gauges_[name];
-    if (!mine.seen || g.min() < mine.min) mine.min = g.min();
-    if (!mine.seen || g.max() > mine.max) mine.max = g.max();
-    mine.seen = true;
-  }
-  for (const auto& [name, h] : metrics->histograms()) {
-    absorb_histogram(name, h.lo(), h.hi(), h.count(), h.sum(),
-                     h.count() ? h.min() : 0.0, h.count() ? h.max() : 0.0,
-                     h.bins());
-  }
+  // The bytes a per-run report file holds go through the one absorb body,
+  // so a sweep aggregated in-process is the one `wehey_cli merge` builds.
+  JsonValue doc;
+  std::string error;
+  const bool absorbed = json_parse(report.to_json(metrics), doc, &error) &&
+                        add_run_json(doc, &error);
+  if (!absorbed) std::fprintf(stderr, "sweep: %s\n", error.c_str());
+  WEHEY_ASSERT(absorbed);
 }
 
 bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
@@ -171,8 +141,12 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
   }
   const JsonValue* schema = doc.find("schema");
   if (schema == nullptr || schema->type != JsonValue::Type::String ||
-      schema->str.rfind(kRunReportSchemaPrefix, 0) != 0) {
-    return fail("not a wehey.run_report.* document");
+      schema->str != kRunReportSchema) {
+    return fail(std::string("not a ") + kRunReportSchema + " document");
+  }
+  const JsonValue* metrics = doc.find("metrics");
+  if (metrics == nullptr || metrics->type != JsonValue::Type::Object) {
+    return fail("no metrics object");
   }
   const auto str_or = [&](const char* key) -> std::string {
     const JsonValue* v = doc.find(key);
@@ -195,8 +169,6 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
       if (v.type == JsonValue::Type::Number) absorb_value(cell, name, v.number);
     }
   }
-  // json_number round-trips doubles exactly, so this absorbs a value
-  // bit-equal to what add_run sees from the live report.
   if (const JsonValue* decision = doc.find("decision");
       decision != nullptr && decision->type == JsonValue::Type::Object) {
     if (const JsonValue* margin = decision->find("margin");
@@ -204,8 +176,7 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
       absorb_value(cell, kDecisionMarginValue, margin->number);
     }
   }
-  // Pre-v5 reports have no "audit" object; absorbing nothing keeps the
-  // aggregate identical to what add_run sees for an audit-free RunReport.
+  // "audit" is optional: only runners that know the ground truth emit it.
   if (const JsonValue* audit = doc.find("audit");
       audit != nullptr && audit->type == JsonValue::Type::Object) {
     const auto field = [&](const char* key) -> std::string {
@@ -240,10 +211,6 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
       absorb_profile(name, static_cast<std::uint64_t>(count->num_or(0.0)),
                      sim_ms->num_or(0.0), self_ms->num_or(0.0));
     }
-  }
-  const JsonValue* metrics = doc.find("metrics");
-  if (metrics == nullptr || metrics->type != JsonValue::Type::Object) {
-    return true;  // v1 reports may omit the whole block
   }
   if (const JsonValue* counters = metrics->find("counters");
       counters != nullptr && counters->type == JsonValue::Type::Object) {
@@ -443,9 +410,8 @@ std::string SweepAggregator::to_json() const {
   out << (first ? "" : "\n    ") << "}\n  },\n";
 
   // Verdict audit: per-cell and grid-level confusion matrices folded
-  // from the per-run "audit" sections (RunReport v5). The block is
-  // absent when no absorbed run carried an audit, so pre-v5 inputs
-  // serialize byte-identically to before. Ratios are derived from the
+  // from the per-run "audit" sections. The block is absent when no
+  // absorbed run carried an audit. Ratios are derived from the
   // integer tallies at render time; knife-edge cells (same min-|margin|
   // criterion as the knife_edge block above) are flagged, not dropped,
   // so CI gates can exempt them explicitly.

@@ -40,12 +40,11 @@
 // non-associativity cannot leak into the output. Gauge "last" values
 // (inherently order-dependent) are dropped; only min/max survive.
 //
-// Runs can be absorbed in-process (add_run, from the live RunReport and
-// its registry) or offline (add_run_json, from a written per-run report
-// file). Because every obs writer serializes doubles via json_number
-// (shortest round-trippable decimal), the two paths absorb bit-equal
-// values and the resulting sweep files are byte-identical — CI diffs the
-// in-process sweep against `wehey_cli merge` over the per-run files.
+// Runs are absorbed from per-run report documents (add_run_json, as
+// `wehey_cli merge` reads them from disk); add_run serializes a live
+// RunReport and absorbs those bytes through the same body. So a sweep
+// aggregated in-process is byte-identical to one merged from the per-run
+// files by construction — CI diffs the two anyway.
 #pragma once
 
 #include <cstdint>
@@ -75,13 +74,14 @@ class SweepAggregator {
   explicit SweepAggregator(std::string sweep_name)
       : sweep_(std::move(sweep_name)) {}
 
-  /// Absorb one run (in-process path). `metrics` is the run's registry
-  /// (may be null). The cell tally uses `report.cell`.
+  /// Absorb one run: add_run_json over `report.to_json(metrics)`.
+  /// `metrics` is the run's registry (may be null). The cell tally uses
+  /// `report.cell`.
   void add_run(const RunReport& report, const MetricsRegistry* metrics);
 
-  /// Absorb one run from a parsed per-run report document (offline
-  /// path, `wehey_cli merge`). Accepts any wehey.run_report.* version;
-  /// returns false and fills `error` on structural problems.
+  /// Absorb one run from a parsed per-run report document. Accepts only
+  /// kRunReportSchema; returns false and fills `error` on any other
+  /// schema or a structural problem.
   bool add_run_json(const JsonValue& doc, std::string* error = nullptr);
 
   std::size_t runs() const { return runs_; }

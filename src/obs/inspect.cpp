@@ -225,7 +225,7 @@ bool read_file(const std::string& path, std::string& out) {
 bool is_run_report(const JsonValue& doc) {
   const JsonValue* schema = doc.find("schema");
   return schema != nullptr && schema->type == JsonValue::Type::String &&
-         schema->str.rfind("wehey.run_report.", 0) == 0;
+         schema->str == kRunReportSchema;
 }
 
 bool is_chrome_trace(const JsonValue& doc) {
@@ -236,7 +236,7 @@ bool is_chrome_trace(const JsonValue& doc) {
 bool is_runtime_report(const JsonValue& doc) {
   const JsonValue* schema = doc.find("schema");
   return schema != nullptr && schema->type == JsonValue::Type::String &&
-         schema->str.rfind(kRuntimeReportSchemaPrefix, 0) == 0;
+         schema->str == kRuntimeReportSchema;
 }
 
 // ---------------------------------------------------------- report render
@@ -256,8 +256,7 @@ struct Quantiles {
 };
 
 /// p50/p90/p99 of a JSON histogram object ({lo, hi, count, min, max,
-/// bins}) through histogram_quantile, so v1 reports — which have bins but
-/// no "percentiles" section — inspect identically to v2.
+/// bins}) through histogram_quantile.
 Quantiles json_quantiles(const JsonValue& h) {
   const JsonValue* bins = h.find("bins");
   if (bins == nullptr || bins->type != JsonValue::Type::Array) return {};
@@ -315,8 +314,7 @@ void render_report(const JsonValue& doc, std::FILE* out) {
   const char* reason = str_or(doc, "reason");
   if (reason[0] != 0) std::fprintf(out, "  reason     %s\n", reason);
 
-  // v4 verdict provenance. Only rendered when the section exists, so
-  // v1-v3 reports inspect byte-identically to before.
+  // Verdict provenance.
   const JsonValue* decision = doc.find("decision");
   if (decision != nullptr && decision->type == JsonValue::Type::Object) {
     print_rule(out, "decision (margin < 0 would flip; |margin| ~ 0 = knife-edge)");
@@ -376,8 +374,7 @@ void render_report(const JsonValue& doc, std::FILE* out) {
     }
   }
 
-  // v5 ground truth + audit. Both sections are absent-by-default, so
-  // pre-v5 reports inspect byte-identically to before.
+  // Ground truth + audit: only runners that know the truth emit them.
   const JsonValue* truth = doc.find("ground_truth");
   if (truth != nullptr && truth->type == JsonValue::Type::Object) {
     print_rule(out, "audit (verdict vs configured ground truth)");
@@ -449,16 +446,15 @@ void render_report(const JsonValue& doc, std::FILE* out) {
     for (const auto& [name, h] : histograms->object) {
       const double count = h.find("count") ? h.find("count")->num_or(0) : 0;
       if (count <= 0) continue;
-      Quantiles p;
+      // The writer derives these for every non-empty histogram.
       const JsonValue* pre =
           percentiles != nullptr ? percentiles->find(name) : nullptr;
-      if (pre != nullptr) {
-        p.p50 = pre->find("p50") ? pre->find("p50")->num_or(0) : 0;
-        p.p90 = pre->find("p90") ? pre->find("p90")->num_or(0) : 0;
-        p.p99 = pre->find("p99") ? pre->find("p99")->num_or(0) : 0;
-      } else {
-        p = json_quantiles(h);
-      }
+      if (pre == nullptr) continue;
+      const auto quantile = [pre](const char* key) {
+        const JsonValue* v = pre->find(key);
+        return v != nullptr ? v->num_or(0) : 0.0;
+      };
+      const Quantiles p{quantile("p50"), quantile("p90"), quantile("p99")};
       const double hmax = h.find("max") ? h.find("max")->num_or(0) : 0;
       std::fprintf(out, "  %-28s %10.0f %10.4g %10.4g %10.4g %10.4g\n",
                    name.c_str(), count, p.p50, p.p90, p.p99, hmax);
@@ -663,7 +659,6 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
   }
 
   // Knife-edge cells: minimum |decision margin| under the gate threshold.
-  // Absent on pre-v4 sweeps, which therefore render unchanged.
   const JsonValue* knife = doc.find("knife_edge");
   const JsonValue* kcells = knife != nullptr ? knife->find("cells") : nullptr;
   if (kcells != nullptr) {
@@ -687,7 +682,7 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
   }
 
   // Verdict audit: confusion matrices vs the configured ground truth.
-  // Absent on pre-v5 sweeps, which therefore render unchanged.
+  // Absent when no absorbed run carried an audit.
   const JsonValue* audit = doc.find("audit");
   if (audit != nullptr && audit->type == JsonValue::Type::Object) {
     print_rule(out, "AUDIT (verdict vs ground truth; * = knife-edge cell)");
@@ -984,10 +979,14 @@ bool inspect_file(const std::string& path, std::FILE* out) {
   }
   // A one-line journal parses as a single checkpoint entry.
   const JsonValue* schema = doc.find("schema");
-  if (schema != nullptr &&
-      schema->str.rfind(kSweepCheckpointSchemaPrefix, 0) == 0 &&
+  if (schema != nullptr && schema->str == kSweepCheckpointSchema &&
       render_checkpoint_journal(path, out)) {
     return true;
+  }
+  if (schema != nullptr && schema->type == JsonValue::Type::String) {
+    std::fprintf(stderr, "inspect: %s: unsupported schema \"%s\"\n",
+                 path.c_str(), schema->str.c_str());
+    return false;
   }
   std::fprintf(stderr,
                "inspect: %s: neither a wehey report (run, sweep or "

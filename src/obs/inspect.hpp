@@ -1,14 +1,15 @@
 // Offline analyzer behind `wehey_cli inspect <report|trace|sweep>`.
 //
-// Reads the JSON artifacts the obs layer emits — wehey.run_report.v1/v2/v3
-// RunReports, wehey.sweep_report.v1 aggregates and Chrome-trace timelines —
-// and renders human-readable summaries: per-stage latency and v3 self-time
-// profiles, p50/p90/p99 percentiles per histogram (taken from the v2+
-// "percentiles" section when present, re-derived from the bins for v1
-// reports), per-flow RTT/loss tables, queue-residency and drop-by-reason
-// breakdowns, and link utilization. Every optional section may be absent
-// (older schema versions, fault-free runs): the renderer skips what is
-// missing instead of failing.
+// Reads the JSON artifacts the obs layer emits — wehey.run_report.v5
+// RunReports, wehey.sweep_report.v1 aggregates, wehey.sweep_checkpoint.v1
+// journals, wehey.runtime_report.v1 sidecars and Chrome-trace timelines —
+// and renders human-readable summaries: per-stage latency and self-time
+// profiles, p50/p90/p99 percentiles per histogram (from the report's
+// "percentiles" section), per-flow RTT/loss tables, queue-residency and
+// drop-by-reason breakdowns, and link utilization. Any other schema tag,
+// older versions included, is refused. Optional sections (cell, ground
+// truth, audit, fault-free injection) may be absent: the renderer skips
+// what is missing instead of failing.
 //
 // The JSON model is deliberately tiny (no external dependency): objects
 // preserve key order, numbers are doubles — exactly what the writers in

@@ -141,6 +141,7 @@ std::string MetricsRegistry::to_json(int indent) const {
   out << p1 << "\"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
+    if (!g.seen()) continue;  // no reading to report, as in merge()
     out << (first ? "\n" : ",\n") << p2 << "\"" << name
         << "\": {\"last\": " << json_number(g.last())
         << ", \"min\": " << json_number(g.min())

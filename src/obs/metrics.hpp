@@ -120,7 +120,8 @@ class MetricsRegistry {
   }
 
   /// Snapshot as a JSON object with sorted, stable key order:
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
+  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}. A gauge
+  /// that was never set has no reading and is left out.
   std::string to_json(int indent = 0) const;
 
  private:

@@ -36,16 +36,6 @@ ScopedRecorder::ScopedRecorder(Recorder* r) : prev_(t_current) {
 
 ScopedRecorder::~ScopedRecorder() { t_current = prev_; }
 
-std::string trace_csv_path(const std::string& trace_path) {
-  const std::string suffix = ".json";
-  if (trace_path.size() > suffix.size() &&
-      trace_path.compare(trace_path.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-    return trace_path.substr(0, trace_path.size() - suffix.size()) + ".csv";
-  }
-  return trace_path + ".csv";
-}
-
 namespace {
 
 /// The run-wide recorder the environment asks for (null when observation
@@ -58,34 +48,16 @@ std::unique_ptr<Recorder> recorder_from_env(std::string& trace_path) {
                           env_flag("WEHEY_REPORT_DIR");
   if (!metrics_on) return nullptr;
   auto recorder = std::make_unique<Recorder>(metrics_on, trace_on);
-  if (trace_on) {
-    trace_path = trace;
-    // Bound the run-level timeline buffer; completed events spill to
-    // "<trace>.chunkNNN" and re-merge when the trace is written. Unset/0
-    // keeps the historical everything-in-memory behaviour. Per-trial
-    // child timelines stay in memory either way (they are small and
-    // absorb in index order).
-    if (const char* buf = std::getenv("WEHEY_TRACE_BUFFER_EVENTS")) {
-      const long n = std::strtol(buf, nullptr, 10);
-      if (n > 0) {
-        recorder->timeline().configure_spill(static_cast<std::size_t>(n),
-                                             trace_path);
-      }
-    }
-  }
+  if (trace_on) trace_path = trace;
   return recorder;
 }
 
-/// Chrome JSON at `path`, CSV at its sibling. False on I/O error.
+/// Chrome JSON at `path`. False on I/O error.
 bool write_trace(const Timeline& timeline, const std::string& path) {
   std::FILE* json = std::fopen(path.c_str(), "w");
   if (json == nullptr) return false;
   timeline.write_chrome_json(json);
   std::fclose(json);
-  std::FILE* csv = std::fopen(trace_csv_path(path).c_str(), "w");
-  if (csv == nullptr) return false;
-  timeline.write_csv(csv);
-  std::fclose(csv);
   return true;
 }
 
@@ -134,29 +106,14 @@ void ObservedSweep::write_run_file(const std::string& run,
   }
 }
 
-void ObservedSweep::add_run(const RunReport& run,
-                            const MetricsRegistry* metrics) {
-  aggregator_.add_run(run, metrics);
-  for (const auto& [kind, count] : run.injection) {
-    report_.injection[kind] += count;
-  }
-  meter_.note_run(run.verdict, run.decision.has_margin, run.decision.margin);
-  const std::uint64_t index = next_run_index_++;
-  if (!checkpoint_.is_open() && run_dir_.empty()) return;
-  const std::string json = run.to_json(metrics);
-  if (checkpoint_.is_open()) {
-    checkpoint_.append({run.run, run.cell, run.seed, index, json});
-  }
-  write_run_file(run.run, json);
-}
-
-JsonValue ObservedSweep::absorb_cached(const CheckpointEntry& entry) {
+JsonValue ObservedSweep::absorb_report(const std::string& run,
+                                       const std::string& json) {
   JsonValue doc;
   std::string error;
-  if (!json_parse(entry.report_json, doc, &error) ||
+  if (!json_parse(json, doc, &error) ||
       !aggregator_.add_run_json(doc, &error)) {
-    std::fprintf(stderr, "checkpoint: cannot absorb %s: %s\n",
-                 entry.run.c_str(), error.c_str());
+    std::fprintf(stderr, "sweep: cannot absorb %s: %s\n", run.c_str(),
+                 error.c_str());
     return JsonValue{};
   }
   // The document's per-kind counts, minus the derived "total".
@@ -167,17 +124,33 @@ JsonValue ObservedSweep::absorb_cached(const CheckpointEntry& entry) {
       }
     }
   }
+  write_run_file(run, json);
+  return doc;
+}
+
+void ObservedSweep::add_run(const RunReport& run,
+                            const MetricsRegistry* metrics) {
+  const std::string json = run.to_json(metrics);
+  if (checkpoint_.is_open()) {
+    checkpoint_.append({run.run, run.cell, run.seed, next_run_index_, json});
+  }
+  ++next_run_index_;
+  absorb_report(run.run, json);
+  meter_.note_run(run.verdict, run.decision.has_margin, run.decision.margin);
+}
+
+JsonValue ObservedSweep::absorb_cached(const CheckpointEntry& entry) {
+  JsonValue doc = absorb_report(entry.run, entry.report_json);
+  if (doc.type == JsonValue::Type::Null) return doc;
   meter_.note_resumed();
   ++next_run_index_;
-  write_run_file(entry.run, entry.report_json);
   return doc;
 }
 
 ObservedSweep::~ObservedSweep() {
   if (!trace_path_.empty()) {
     if (write_trace(recorder_->timeline(), trace_path_)) {
-      std::fprintf(stderr, "trace: %s (+ %s)\n", trace_path_.c_str(),
-                   trace_csv_path(trace_path_).c_str());
+      std::fprintf(stderr, "trace: %s\n", trace_path_.c_str());
     } else {
       std::fprintf(stderr, "trace: FAILED to write %s\n", trace_path_.c_str());
     }

@@ -19,9 +19,7 @@
 // end opens. Its recorder comes from the environment:
 //   WEHEY_METRICS=1  — collect metrics (implied by the two below),
 //   WEHEY_TRACE=path — also record a timeline, written as Chrome-trace
-//                      JSON at `path` plus a CSV sibling;
-//                      WEHEY_TRACE_BUFFER_EVENTS=N keeps at most N events
-//                      in memory, spilling chunks to "<path>.chunkNNN",
+//                      JSON at `path`,
 //   WEHEY_REPORT=path / WEHEY_REPORT_DIR=dir — emit a RunReport
 //                      (report.hpp).
 #pragma once
@@ -87,10 +85,6 @@ class ScopedRecorder {
   Recorder* prev_;
 };
 
-/// The CSV sibling of a trace path ("x.json" -> "x.csv", else "x.csv"
-/// appended).
-std::string trace_csv_path(const std::string& trace_path);
-
 /// The run harness every front end (each bench binary, wehey_cli) opens
 /// first thing; the only code that turns the obs environment into
 /// artifacts. It reads WEHEY_TRACE / METRICS / REPORT / REPORT_DIR /
@@ -111,8 +105,9 @@ std::string trace_csv_path(const std::string& trace_path);
 /// be loaded (a malformed line before its last) or opened stops the
 /// process with status 1, untouched.
 ///
-/// Notices ("trace:", "report:", "sweep report:", "checkpoint:") go to
-/// stderr; stdout belongs to the front end, which may print JSON there.
+/// Notices ("trace:", "report:", "sweep report:", "sweep:",
+/// "checkpoint:") go to stderr; stdout belongs to the front end, which may
+/// print JSON there.
 class ObservedSweep {
  public:
   /// `run_name` names report(), the sweep and the journal lines;
@@ -153,16 +148,19 @@ class ObservedSweep {
   }
 
   /// Re-absorb a journaled run instead of executing it, injection tallies
-  /// included. The embedded
-  /// report's exact bytes go through the aggregator's offline path
-  /// (bit-equal to add_run) and — in per-run / both modes — back into the
-  /// per-run report file, so a resumed sweep's artifacts are
-  /// byte-identical to an uninterrupted run's. Returns the parsed report
-  /// document (Type::Null on a malformed entry, with the error on stderr)
-  /// so callers can rebuild their own tallies from it.
+  /// included. The embedded report's exact bytes take add_run's absorb
+  /// step, so a resumed sweep's artifacts are byte-identical to an
+  /// uninterrupted run's. Returns the parsed report document (Type::Null
+  /// on a malformed entry, with the error on stderr) so callers can
+  /// rebuild their own tallies from it.
   JsonValue absorb_cached(const CheckpointEntry& entry);
 
  private:
+  /// Absorb one run's report bytes: aggregate them, fold their injection
+  /// tallies into report() and write the per-run file. Returns the parsed
+  /// document, or Type::Null (error on stderr) when it is malformed.
+  JsonValue absorb_report(const std::string& run, const std::string& json);
+
   /// Write one absorbed run's report file (no-op without run_dir_).
   void write_run_file(const std::string& run, const std::string& json) const;
 

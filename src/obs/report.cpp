@@ -154,8 +154,8 @@ std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans) {
 
 std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl) {
   std::vector<ProfileSpan> spans;
-  tl.for_each_event([&](const TimelineEvent& ev) {
-    if (ev.kind != TimelineEvent::Kind::Span) return;
+  for (const auto& ev : tl.events()) {
+    if (ev.kind != TimelineEvent::Kind::Span) continue;
     ProfileSpan s;
     s.track = (static_cast<std::int64_t>(ev.pid) << 32) |
               static_cast<std::int64_t>(static_cast<std::uint32_t>(ev.tid));
@@ -163,7 +163,7 @@ std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl) {
     s.start = ev.at;
     s.end = ev.at + ev.duration;
     spans.push_back(std::move(s));
-  });
+  }
   return spans;
 }
 
@@ -179,7 +179,7 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   out << "  \"fault_plan\": \"" << json_escape(fault_plan) << "\",\n";
   out << "  \"verdict\": \"" << json_escape(verdict) << "\",\n";
   out << "  \"reason\": \"" << json_escape(reason) << "\",\n";
-  // v4: verdict provenance — every statistic/threshold comparison behind
+  // Verdict provenance — every statistic/threshold comparison behind
   // the verdict, plus the run-level margin the sweep knife-edge gate
   // aggregates. Always present; a run that never reached analysis emits
   // the empty-but-valid block (evaluated=false, empty arrays).
@@ -221,9 +221,8 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
         << json_escape(decision.degradations[i]) << "\"";
   }
   out << "]\n  },\n";
-  // v5: the ground-truth ledger and the verdict audit. Both optional —
-  // emitted only by runners that know what the simulator configured — so
-  // reports without them keep their pre-v5 bytes after the schema tag.
+  // The ground-truth ledger and the verdict audit. Both optional —
+  // emitted only by runners that know what the simulator configured.
   if (ground_truth.present) {
     out << "  \"ground_truth\": {\"differentiated\": "
         << (ground_truth.differentiated ? "true" : "false")
@@ -262,7 +261,7 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
     out << "}";
   }
   out << (stages.empty() ? "" : "\n  ") << "],\n";
-  // v3: per-stage self time (span duration minus directly enclosed child
+  // Per-stage self time (span duration minus directly enclosed child
   // spans), see profile_from_spans.
   out << "  \"profile\": {";
   bool first = true;
@@ -300,7 +299,7 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   }
   if (!first) out << ",\n    \"total\": " << total << "\n  ";
   out << "},\n";
-  // v2: quantiles pre-derived from the histogram bins, so downstream
+  // Quantiles pre-derived from the histogram bins, so downstream
   // readers (wehey_cli inspect, dashboards) get p50/p90/p99 without
   // re-walking the bins themselves.
   out << "  \"percentiles\": {";

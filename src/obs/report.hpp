@@ -20,7 +20,7 @@
 //                                 "rho": X?, "sigma_ms": X?}, ...],
 //                  "aggregation": {...}?,   // Alg. 1 conservative count
 //                  "degradations": ["scrub", ...]},
-//     "ground_truth": {"differentiated": true|false,  // v5, optional
+//     "ground_truth": {"differentiated": true|false,  // optional
 //                      "mechanism": "per-client-tbf" | "collective-tbf" |
 //                                   "delayed-fixed-rate" | "per-flow-tbf" |
 //                                   "none",
@@ -30,7 +30,7 @@
 //                      "rate_bps": X,           // 0 when no limiter
 //                      "activation_bytes": N,   // 0 = immediate
 //                      "sanity_check": true|false},
-//     "audit": {"expected_positive": true|false,      // v5, optional
+//     "audit": {"expected_positive": true|false,      // optional
 //               "observed_positive": true|false,
 //               "classification": "tp"|"fp"|"fn"|"tn"|"skipped",
 //               "mismatch_reason": "" | "budget-exhausted" |
@@ -47,22 +47,22 @@
 //     "metrics": {"counters": ..., "gauges": ..., "histograms": ...}
 //   }
 //
-// v2 added "percentiles" (derived per non-empty histogram via
-// histogram_quantile); v3 adds "profile" (per-stage self time: span
-// duration minus enclosed child spans) and the optional "cell" grid
-// label; v4 adds "decision" — the verdict's provenance (per-detector
-// statistic / threshold / signed margin, the Alg. 1 aggregation count,
-// engaged degradation paths, and the run-level verdict margin the sweep
+// "percentiles" is derived per non-empty histogram via histogram_quantile;
+// "profile" holds per-stage self time (span duration minus enclosed child
+// spans). "decision" is the verdict's provenance (per-detector statistic /
+// threshold / signed margin, the Alg. 1 aggregation count, engaged
+// degradation paths, and the run-level verdict margin the sweep
 // knife-edge gate aggregates). A run that never reached analysis (budget
 // exhausted, session aborted before localize) carries an empty-but-valid
 // block: {"evaluated": false, "detectors": [], "degradations": []}.
-// v5 adds the optional "ground_truth" ledger (what the simulator actually
-// configured — a pure function of the run's configuration, no RNG) and the
-// derived "audit" section (verdict vs truth -> TP/FP/FN/TN with a
-// machine-readable mismatch reason that cross-references the decision
-// margin). Both are emitted only by runners that know their ground truth;
-// pre-v5 reports, which lack these sections, still validate against
-// tools/run_report_schema.json.
+// The optional "ground_truth" ledger records what the simulator actually
+// configured (a pure function of the run's configuration, no RNG) and the
+// derived "audit" section grades the verdict against it (TP/FP/FN/TN with
+// a machine-readable mismatch reason that cross-references the decision
+// margin). Both are emitted only by runners that know their ground truth.
+//
+// Reports are regenerated, not archived: every reader here accepts only
+// the current schema tag and refuses older versions.
 //
 // Determinism contract: everything except "wall_ms" is a pure function of
 // the run's seeds, so the serialized report is byte-identical across
@@ -80,21 +80,16 @@
 
 namespace wehey::obs {
 
-/// The report schema emitted by RunReport::to_json. The single source of
-/// truth for the version string; tools/run_report_schema.json must list
-/// this value in its "schema" enum (asserted by tests/test_sweep.cpp).
+/// The report schema emitted by RunReport::to_json and the only one
+/// wehey_cli inspect and SweepAggregator::add_run_json read. The single
+/// source of truth for the version string; tools/run_report_schema.json
+/// must name exactly this value (asserted by tests/test_sweep.cpp).
 inline constexpr char kRunReportSchema[] = "wehey.run_report.v5";
-/// Older versions this codebase still reads (wehey_cli inspect,
-/// SweepAggregator::add_run_json).
-inline constexpr char kRunReportSchemaPrefix[] = "wehey.run_report.";
 /// Schema of the aggregated sweep report (src/obs/aggregate.hpp).
 inline constexpr char kSweepReportSchema[] = "wehey.sweep_report.v1";
 /// Schema of one line of a sweep checkpoint journal
-/// (src/obs/checkpoint.hpp); the prefix covers future versions the
-/// loader still reads.
+/// (src/obs/checkpoint.hpp).
 inline constexpr char kSweepCheckpointSchema[] = "wehey.sweep_checkpoint.v1";
-inline constexpr char kSweepCheckpointSchemaPrefix[] =
-    "wehey.sweep_checkpoint.";
 
 /// The verdict string every runner emits when the supervisor's per-trial
 /// budget ended the run (src/parallel/supervisor.hpp). The sweep
@@ -148,7 +143,7 @@ class Timeline;
 /// trials never falsely nest in one another.
 std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl);
 
-/// One row of the v4 "decision" section: a detector statistic, the
+/// One row of the "decision" section: a detector statistic, the
 /// threshold it was compared against, and the signed normalized margin
 /// (positive = the statistic supports the recorded outcome; |margin|
 /// small = knife-edge). Mirrors core::DecisionEntry without depending on
@@ -167,7 +162,7 @@ struct DecisionRow {
   double sigma_ms = 0.0;
 };
 
-/// The v4 "decision" section: the verdict's full evidence chain. A
+/// The "decision" section: the verdict's full evidence chain. A
 /// default-constructed section serializes as the empty-but-valid block
 /// required of runs that never reached analysis.
 struct DecisionSection {
@@ -191,7 +186,7 @@ struct DecisionSection {
   std::vector<std::string> degradations;
 };
 
-// Canonical strings of the v5 "ground_truth" section. Emitters must use
+// Canonical strings of the "ground_truth" section. Emitters must use
 // these constants (the schema enums list exactly these spellings).
 inline constexpr char kMechanismPerClientTbf[] = "per-client-tbf";
 inline constexpr char kMechanismCollectiveTbf[] = "collective-tbf";
@@ -202,11 +197,11 @@ inline constexpr char kPlacementCommonLink[] = "common-link";
 inline constexpr char kPlacementNonCommonLinks[] = "non-common-links";
 inline constexpr char kPlacementNone[] = "none";
 
-/// The v5 "ground_truth" ledger: what the simulator actually configured
+/// The "ground_truth" ledger: what the simulator actually configured
 /// for this run. A pure function of the run's configuration — no RNG, no
 /// measurement — so it is byte-identical across WEHEY_THREADS and
 /// trivially reproducible from the run's seed. present=false omits the
-/// section entirely (pre-v5 emitters, bench binaries without a scenario).
+/// section entirely (bench binaries without a scenario).
 struct GroundTruthSection {
   bool present = false;
   /// A rate limiter exists somewhere on the client's paths.
@@ -228,7 +223,7 @@ struct GroundTruthSection {
   bool sanity_check = false;
 };
 
-/// The v5 "audit" section: the run's verdict judged against its ground
+/// The "audit" section: the run's verdict judged against its ground
 /// truth. Derived deterministically by classify_audit; present=false
 /// omits the section (runs without a ground truth cannot be audited).
 struct AuditSection {
@@ -269,15 +264,15 @@ struct RunReport {
   std::string fault_plan;  ///< empty = fault-free
   std::string verdict;     ///< outcome string ("localized within ISP", ...)
   std::string reason;      ///< machine-readable refinement, may be empty
-  /// v4: why the verdict is what it is. Always emitted; the default-
+  /// Why the verdict is what it is. Always emitted; the default-
   /// constructed value is the empty-but-valid block.
   DecisionSection decision;
-  /// v5: what the simulator configured (omitted while !present).
+  /// What the simulator configured (omitted while !present).
   GroundTruthSection ground_truth;
-  /// v5: verdict vs ground truth (omitted while !present).
+  /// Verdict vs ground truth (omitted while !present).
   AuditSection audit;
   std::vector<StageTiming> stages;
-  /// v3: per-stage self-time profile (see profile_from_spans). Always
+  /// Per-stage self-time profile (see profile_from_spans). Always
   /// emitted, possibly empty.
   std::vector<ProfileEntry> profile;
   /// Scalar results (retry counters, success rates, ...). Sorted on

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include "common/threads.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -148,18 +149,6 @@ void atomic_max(std::atomic<std::uint64_t>& a, std::uint64_t v) {
   while (v > seen &&
          !a.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
-}
-
-/// WEHEY_THREADS if positive, else detected hardware concurrency —
-/// parallel::configured_threads() restated here because obs sits below
-/// the parallel library in the link order.
-unsigned env_configured_threads() {
-  if (const char* env = std::getenv("WEHEY_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
 }
 
 /// Peak resident set (VmHWM) in KiB from /proc/self/status; 0 when the
@@ -315,7 +304,7 @@ RuntimeSnapshot snapshot() {
   const std::uint64_t start = s.start_ns.load(std::memory_order_relaxed);
   snap.wall_seconds =
       start > 0 ? static_cast<double>(now_ns() - start) / 1e9 : 0.0;
-  snap.configured_threads = env_configured_threads();
+  snap.configured_threads = wehey::configured_threads();
   const unsigned hw = std::thread::hardware_concurrency();
   snap.hardware_threads = hw > 0 ? hw : 1;
 

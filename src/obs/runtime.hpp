@@ -40,7 +40,6 @@ namespace wehey::obs {
 /// deterministic report schemas). tools/runtime_report_schema.json must
 /// name this value (asserted by tests/test_sweep.cpp).
 inline constexpr char kRuntimeReportSchema[] = "wehey.runtime_report.v1";
-inline constexpr char kRuntimeReportSchemaPrefix[] = "wehey.runtime_report.";
 
 namespace runtime {
 

@@ -17,7 +17,7 @@ void Timeline::span(std::string name, std::string category, Time start,
   ev.name = std::move(name);
   ev.category = std::move(category);
   ev.args = std::move(args);
-  sink_.append(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Timeline::instant(std::string name, std::string category, Time at,
@@ -29,7 +29,7 @@ void Timeline::instant(std::string name, std::string category, Time at,
   ev.name = std::move(name);
   ev.category = std::move(category);
   ev.args = std::move(args);
-  sink_.append(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Timeline::counter(std::string name, Time at, double value,
@@ -40,44 +40,24 @@ void Timeline::counter(std::string name, Time at, double value,
   ev.tid = tid;
   ev.name = std::move(name);
   ev.args = "\"value\": " + json_number(value);
-  sink_.append(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Timeline::name_track(std::int32_t pid, std::string name) {
   track_names_.emplace_back(pid, std::move(name));
 }
 
-void Timeline::configure_spill(std::size_t max_buffered_events,
-                               std::string spill_base) {
-  sink_.configure(max_buffered_events, std::move(spill_base));
-}
-
-bool Timeline::for_each_event(
-    const std::function<void(const TimelineEvent&)>& fn) const {
-  return sink_.for_each(fn);
-}
-
 void Timeline::absorb(Timeline&& child) {
   const std::int32_t base = pid_count_;
-  if (child.sink_.spilling()) {
-    // Rare (children normally buffer in memory): replay the child's full
-    // event stream, chunks included, in its append order.
-    child.sink_.for_each([&](const TimelineEvent& ev) {
-      TimelineEvent copy = ev;
-      copy.pid += base;
-      sink_.append(std::move(copy));
-    });
-  } else {
-    for (auto& ev : child.sink_.mutable_buffer()) {
-      ev.pid += base;
-      sink_.append(std::move(ev));
-    }
+  for (auto& ev : child.events_) {
+    ev.pid += base;
+    events_.push_back(std::move(ev));
   }
   for (auto& [pid, name] : child.track_names_) {
     track_names_.emplace_back(pid + base, std::move(name));
   }
   pid_count_ += child.pid_count_;
-  child.sink_.clear();
+  child.events_.clear();
   child.track_names_.clear();
   child.pid_count_ = 1;
 }
@@ -127,27 +107,8 @@ void Timeline::write_chrome_json(std::FILE* out) const {
                  first ? "\n" : ",\n", pid, json_escape(name).c_str());
     first = false;
   }
-  sink_.for_each([&](const TimelineEvent& ev) { write_event(out, ev, first); });
+  for (const auto& ev : events_) write_event(out, ev, first);
   std::fprintf(out, "\n]}\n");
-}
-
-void Timeline::write_csv(std::FILE* out) const {
-  std::fprintf(out, "kind,pid,tid,sim_us,dur_us,category,name,detail\n");
-  sink_.for_each([&](const TimelineEvent& ev) {
-    const char* kind = ev.kind == TimelineEvent::Kind::Span      ? "span"
-                       : ev.kind == TimelineEvent::Kind::Counter ? "counter"
-                                                                 : "instant";
-    std::string detail = ev.args;
-    for (auto& ch : detail) {
-      if (ch == ',' || ch == '\n') ch = ';';
-    }
-    std::fprintf(out, "%s,%d,%d,%s,%s,%s,%s,%s\n", kind, ev.pid, ev.tid,
-                 ts_us(ev.at).c_str(),
-                 ev.kind == TimelineEvent::Kind::Span
-                     ? ts_us(ev.duration).c_str()
-                     : "0",
-                 ev.category.c_str(), ev.name.c_str(), detail.c_str());
-  });
 }
 
 std::string Timeline::chrome_json() const {

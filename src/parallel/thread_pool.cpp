@@ -1,7 +1,6 @@
 #include "parallel/thread_pool.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 
 namespace wehey::parallel {
@@ -12,21 +11,7 @@ namespace {
 /// loop serially instead of re-entering the pool.
 thread_local bool t_in_parallel_region = false;
 
-unsigned resolve_configured_threads() {
-  if (const char* env = std::getenv("WEHEY_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
 }  // namespace
-
-unsigned configured_threads() {
-  static const unsigned threads = resolve_configured_threads();
-  return threads;
-}
 
 struct ThreadPool::Job {
   std::size_t n = 0;

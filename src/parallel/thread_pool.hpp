@@ -23,22 +23,18 @@
 #include <thread>
 #include <vector>
 
+#include "common/threads.hpp"
 #include "obs/recorder.hpp"
 #include "obs/runtime.hpp"
 
 namespace wehey::parallel {
 
-/// Worker-thread budget resolved from the environment: WEHEY_THREADS if
-/// set to a positive integer, else std::thread::hardware_concurrency().
-/// WEHEY_THREADS=1 forces the fully serial path (no pool threads touched).
-/// Read once and cached — safe to call from any thread afterwards.
-unsigned configured_threads();
-
 class ThreadPool {
  public:
   /// A pool with `threads` total execution contexts (including the
   /// caller); spawns threads-1 workers. threads == 0 means
-  /// configured_threads().
+  /// configured_threads() (common/threads.hpp); WEHEY_THREADS=1 forces
+  /// the fully serial path (no pool threads touched).
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 

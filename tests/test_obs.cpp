@@ -168,65 +168,6 @@ TEST(Timeline, ChromeJsonHasTraceEventsAndPhases) {
   EXPECT_EQ(depth, 0);
 }
 
-// Tentpole part 2: a bounded streaming sink must render byte-identically
-// to the unbounded in-memory path, and clean its chunk files up.
-TEST(Timeline, StreamingSinkMatchesUnboundedByteForByte) {
-  const auto build = [](Timeline& t) {
-    for (int i = 0; i < 37; ++i) {
-      t.span("stage" + std::to_string(i % 5), "test",
-             static_cast<Time>(i) * kMillisecond,
-             static_cast<Time>(i + 1) * kMillisecond);
-      if (i % 3 == 0) t.instant("mark", "test",
-                                static_cast<Time>(i) * kMillisecond);
-      if (i % 4 == 0) t.counter("depth", static_cast<Time>(i) * kMillisecond,
-                                static_cast<double>(i));
-    }
-  };
-  Timeline unbounded;
-  build(unbounded);
-  const std::string expected = unbounded.chrome_json();
-
-  const std::string base = testing::TempDir() + "wehey_sink_test.json";
-  const std::string chunk0 = TraceSink::chunk_path(base, 0);
-  {
-    Timeline spill;
-    spill.configure_spill(4, base);
-    build(spill);
-    // The tiny buffer actually spilled, kept only a bounded tail in
-    // memory, and still renders the identical trace.
-    EXPECT_GT(spill.spill_chunks(), 0u);
-    EXPECT_GT(spill.spilled_events(), 0u);
-    EXPECT_LE(spill.events().size(), 4u);
-    EXPECT_EQ(spill.size(), unbounded.size());
-    EXPECT_EQ(spill.chrome_json(), expected);
-    // Rendering is repeatable (chunks re-read, not consumed).
-    EXPECT_EQ(spill.chrome_json(), expected);
-    std::FILE* f = std::fopen(chunk0.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fclose(f);
-  }
-  // Destroying the sink removes its chunk files.
-  EXPECT_EQ(std::fopen(chunk0.c_str(), "rb"), nullptr);
-}
-
-// A spilling parent still absorbs in-memory children deterministically.
-TEST(Timeline, StreamingSinkAbsorbsChildren) {
-  const std::string base = testing::TempDir() + "wehey_sink_absorb.json";
-  const auto run = [&](bool spill) {
-    Timeline parent;
-    if (spill) parent.configure_spill(3, base);
-    for (int c = 0; c < 4; ++c) {
-      parent.span("parent", "test", 0, kSecond);
-      Timeline child;
-      child.span("child" + std::to_string(c), "test", 0, kMillisecond);
-      child.instant("tick", "test", kMillisecond);
-      parent.absorb(std::move(child));
-    }
-    return parent.chrome_json();
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(Timeline, JsonEscape) {
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
@@ -248,11 +189,6 @@ TEST(Recorder, ScopedBindingNestsAndRestores) {
     EXPECT_EQ(Recorder::current(), &outer);
   }
   EXPECT_EQ(Recorder::current(), nullptr);
-}
-
-TEST(Recorder, CsvPathSibling) {
-  EXPECT_EQ(trace_csv_path("out/trace.json"), "out/trace.csv");
-  EXPECT_EQ(trace_csv_path("trace.bin"), "trace.bin.csv");
 }
 
 // The core determinism contract: the same instrumented parallel loop

@@ -1,5 +1,5 @@
 // Sweep-scale observability: the SweepAggregator merge algebra (order-
-// and thread-count-insensitive, offline == in-process), the v3 self-time
+// and thread-count-insensitive, offline == in-process), the self-time
 // profile, the run harness (ObservedSweep: checkpoint resume and the
 // report files each WEHEY_REPORT_MODE writes), the baseline comparator
 // behind `wehey_cli compare`, and the schema-version constants' agreement
@@ -8,7 +8,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -216,6 +215,32 @@ TEST(Sweep, OfflineJsonMergeMatchesInProcessMergeByteForByte) {
     ASSERT_TRUE(offline.add_run_json(doc, &error)) << error;
   }
   EXPECT_EQ(in_process.to_json(), offline.to_json());
+}
+
+TEST(Sweep, UnsetGaugesAreNotSerialized) {
+  // A gauge created but never set (sim.heap_depth_peak of a simulator
+  // that dispatched nothing) has no reading: the run report leaves it out,
+  // and both absorb paths agree on a sweep without it.
+  RunReport r;
+  r.run = "gauge_test.r000";
+  MetricsRegistry m;
+  m.gauge("set.gauge").set(3.5);
+  m.gauge("unset.gauge");
+  const std::string json = r.to_json(&m);
+  EXPECT_NE(json.find("\"set.gauge\""), std::string::npos);
+  EXPECT_EQ(json.find("\"unset.gauge\""), std::string::npos) << json;
+
+  SweepAggregator in_process("gauge_test");
+  in_process.add_run(r, &m);
+  SweepAggregator offline("gauge_test");
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(json, doc, &error)) << error;
+  ASSERT_TRUE(offline.add_run_json(doc, &error)) << error;
+  const std::string sweep = in_process.to_json();
+  EXPECT_EQ(sweep, offline.to_json());
+  EXPECT_NE(sweep.find("\"set.gauge\""), std::string::npos);
+  EXPECT_EQ(sweep.find("\"unset.gauge\""), std::string::npos) << sweep;
 }
 
 TEST(Sweep, KnifeEdgeFlagsOnlyCellsNearTheDecisionBoundary) {
@@ -536,21 +561,14 @@ TEST(Quantile, ReportSweepAndInspectShareOneImplementation) {
     EXPECT_EQ(percentiles_of(sweep, name), expected) << name;
   }
 
-  // inspect prints the report's percentiles when the section is there
-  // and derives them from the bins when it is not (v1 reports): both
-  // renderings must be the same text.
-  JsonValue stripped = report;
-  auto& members = stripped.object;
-  members.erase(std::remove_if(members.begin(), members.end(),
-                               [](const auto& member) {
-                                 return member.first == "percentiles";
-                               }),
-                members.end());
-  ASSERT_EQ(stripped.find("percentiles"), nullptr);
-  const std::string derived = rendered_report(stripped);
-  EXPECT_EQ(rendered_report(report), derived);
+  // inspect prints the report's own percentiles, one row per histogram.
+  const std::string rendered = rendered_report(report);
   for (const auto& [name, h] : m.histograms()) {
-    EXPECT_NE(derived.find(name), std::string::npos) << name;
+    char p50[32];
+    std::snprintf(p50, sizeof(p50), "%10.4g", histogram_quantile(h, 0.50));
+    const std::size_t row = rendered.find("  " + name + " ");
+    ASSERT_NE(row, std::string::npos) << name;
+    EXPECT_NE(rendered.find(p50, row), std::string::npos) << name;
   }
 }
 
@@ -567,13 +585,9 @@ TEST(Schema, ToolsSchemasNameTheCppConstants) {
   ASSERT_NE(run_enum, nullptr);
   run_enum = run_enum->find("enum");
   ASSERT_NE(run_enum, nullptr);
-  bool current_listed = false;
-  for (const auto& v : run_enum->array) {
-    EXPECT_EQ(v.str.rfind(kRunReportSchemaPrefix, 0), 0u) << v.str;
-    current_listed |= v.str == kRunReportSchema;
-  }
-  EXPECT_TRUE(current_listed)
-      << "tools/run_report_schema.json enum lacks " << kRunReportSchema;
+  // The readers accept exactly one version, so the schema names only it.
+  ASSERT_EQ(run_enum->array.size(), 1u);
+  EXPECT_EQ(run_enum->array[0].str, kRunReportSchema);
 
   ASSERT_TRUE(read_file(root + "/tools/sweep_report_schema.json", text));
   JsonValue sweep_schema;
@@ -679,24 +693,50 @@ TEST(Compare, FlattenKeysListsTheComparableKeySpace) {
 }
 
 TEST(Inspect, DegradesGracefullyOnMissingOptionalSections) {
-  // A v1-era report: no percentiles, no profile, no cell, no metrics.
+  // A bare report: no cell, ground truth, audit or histograms.
+  RunReport r;
+  r.run = "bare";
+  r.verdict = "done";
   const std::string dir = ::testing::TempDir();
-  const std::string v1 = dir + "/v1.json";
-  ASSERT_TRUE(write_report_file(
-      v1,
-      "{\"schema\": \"wehey.run_report.v1\", \"run\": \"old\", "
-      "\"seed\": 1, \"fault_plan\": \"\", \"verdict\": \"done\", "
-      "\"reason\": \"\", \"stages\": [], \"values\": {}, "
-      "\"injection\": {}, \"metrics\": {\"counters\": {}, \"gauges\": {}, "
-      "\"histograms\": {}}}"));
-  std::FILE* sink = std::fopen((dir + "/v1.txt").c_str(), "w");
+  const std::string path = dir + "/bare.json";
+  ASSERT_TRUE(write_report_file(path, r.to_json(nullptr)));
+  std::FILE* sink = std::fopen((dir + "/bare.txt").c_str(), "w");
   ASSERT_NE(sink, nullptr);
-  EXPECT_TRUE(inspect_file(v1, sink));
+  EXPECT_TRUE(inspect_file(path, sink));
   std::fclose(sink);
   std::string rendered;
-  ASSERT_TRUE(read_file(dir + "/v1.txt", rendered));
-  EXPECT_NE(rendered.find("wehey.run_report.v1"), std::string::npos);
-  EXPECT_NE(rendered.find("old"), std::string::npos);
+  ASSERT_TRUE(read_file(dir + "/bare.txt", rendered));
+  EXPECT_NE(rendered.find(kRunReportSchema), std::string::npos);
+  EXPECT_NE(rendered.find("bare"), std::string::npos);
+  EXPECT_EQ(rendered.find("audit"), std::string::npos);
+  EXPECT_EQ(rendered.find("percentiles"), std::string::npos);
+}
+
+TEST(Inspect, RefusesPreV5RunReports) {
+  // Reports are regenerated, not archived: an older tag is refused by the
+  // sweep merge and by inspect, which renders nothing for it.
+  RunReport r;
+  r.run = "old";
+  std::string json = r.to_json(nullptr);
+  const std::string tag = kRunReportSchema;
+  json.replace(json.find(tag), tag.size(), "wehey.run_report.v4");
+  SweepAggregator agg("old");
+  std::string error;
+  EXPECT_FALSE(agg.add_run_json(parse(json), &error));
+  EXPECT_NE(error.find(kRunReportSchema), std::string::npos) << error;
+  EXPECT_EQ(agg.runs(), 0u);
+
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "/v4.json";
+  ASSERT_TRUE(write_report_file(path, json));
+  const std::string sink_path = dir + "/v4.txt";
+  std::FILE* sink = std::fopen(sink_path.c_str(), "w");
+  ASSERT_NE(sink, nullptr);
+  EXPECT_FALSE(inspect_file(path, sink));
+  std::fclose(sink);
+  std::string rendered;
+  ASSERT_TRUE(read_file(sink_path, rendered));
+  EXPECT_TRUE(rendered.empty());
 }
 
 TEST(Inspect, RendersSweepReports) {
@@ -725,16 +765,12 @@ TEST(Inspect, RendersSweepReports) {
 
 // ---------------------------------------------------- frozen fixtures
 
-/// Backward compatibility: real reports from each schema era are frozen
-/// under tests/data/ — today's tooling must keep accepting them. (CI
-/// also runs tools/validate_report.py over the same files.)
+/// Real reports of the current schemas are frozen under tests/data/ —
+/// today's tooling must keep accepting them. (CI also runs
+/// tools/validate_report.py over the same files.)
 TEST(Inspect, FrozenFixtureReportsStillRender) {
   const std::string root = WEHEY_SOURCE_DIR;
   const char* fixtures[] = {
-      "/tests/data/run_report_v1.json",
-      "/tests/data/run_report_v2.json",
-      "/tests/data/run_report_v3.json",
-      "/tests/data/run_report_v4.json",
       "/tests/data/run_report_v5.json",
       "/tests/data/sweep_report_v1.json",
   };
@@ -751,50 +787,20 @@ TEST(Inspect, FrozenFixtureReportsStillRender) {
   }
 }
 
-TEST(Sweep, FrozenRunReportFixturesStillAbsorb) {
-  const std::string root = WEHEY_SOURCE_DIR;
-  SweepAggregator agg("fixtures");
-  for (const char* fixture : {"/tests/data/run_report_v1.json",
-                              "/tests/data/run_report_v2.json",
-                              "/tests/data/run_report_v3.json"}) {
-    std::string text;
-    ASSERT_TRUE(read_file(root + fixture, text)) << fixture;
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(text, doc, &error)) << error;
-    ASSERT_TRUE(agg.add_run_json(doc, &error)) << fixture << ": " << error;
-  }
-  EXPECT_EQ(agg.runs(), 3u);
-  // Pre-v4 reports carry no decision margin, so the knife_edge block is
-  // present but empty — and with no v5 audit sections absorbed, the audit
-  // block is absent entirely (absent-by-default).
-  const std::string json = agg.to_json();
-  const std::size_t start = json.find("\"knife_edge\"");
-  ASSERT_NE(start, std::string::npos);
-  const std::string block =
-      json.substr(start, json.find("\"cell_percentiles\"") - start);
-  EXPECT_EQ(block.find("min_margin"), std::string::npos);
-  EXPECT_EQ(json.find("\"audit\""), std::string::npos);
-}
-
 TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
   const std::string root = WEHEY_SOURCE_DIR;
-  SweepAggregator agg("fixtures_v45");
-  for (const char* fixture : {"/tests/data/run_report_v4.json",
-                              "/tests/data/run_report_v5.json"}) {
-    std::string text;
-    ASSERT_TRUE(read_file(root + fixture, text)) << fixture;
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(text, doc, &error)) << error;
-    ASSERT_TRUE(agg.add_run_json(doc, &error)) << fixture << ": " << error;
-  }
-  EXPECT_EQ(agg.runs(), 2u);
+  SweepAggregator agg("fixtures_v5");
+  std::string text;
+  ASSERT_TRUE(read_file(root + "/tests/data/run_report_v5.json", text));
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(text, doc, &error)) << error;
+  ASSERT_TRUE(agg.add_run_json(doc, &error)) << error;
+  EXPECT_EQ(agg.runs(), 1u);
   const std::string json = agg.to_json();
-  // Both eras contribute decision margins to the value summaries...
+  // The report's decision margin joins the value summaries, and its audit
+  // section makes the audit block exactly one true positive.
   EXPECT_NE(json.find("\"decision_margin\""), std::string::npos);
-  // ...but only the v5 report carries an audit section, so the audit
-  // block holds exactly its one true positive.
   const std::size_t start = json.find("\"audit\"");
   ASSERT_NE(start, std::string::npos);
   const std::string block =
