@@ -22,10 +22,6 @@ int main() {
   const std::size_t sanity_per_isp = scale.full ? 10 : 3;
   obs_run.expect_runs(default_isp_models().size() *
                       (tests_per_isp + sanity_per_isp));
-  // The wild grid is the repo's heaviest sweep, so its scheduler metrics
-  // are the telemetry baseline the executor rework will be gated on.
-  const bool runtime_was_enabled = obs::runtime::enabled();
-  obs::runtime::set_enabled(true);
 
   // WEHEY_FAULT_PLAN runs the whole grid under a shipped chaos plan; the
   // per-kind injection tallies land in the RunReport.
@@ -137,28 +133,6 @@ int main() {
   std::printf("\npaper: ISP1 89.8%%, ISP2 89.83%%, ISP3 94%%, ISP4 98.18%%, "
               "ISP5 16.28%%; sanity checks wrong once overall\n");
 
-  // Fold the sweep's scheduler-efficiency metrics into the shared
-  // "runtime" block of BENCH_parallel.json (sub-block-wise: the grid
-  // bench's "grid" entry survives). Wall-clock only — the deterministic
-  // sweep report above is untouched.
-  const auto snap = obs::runtime::snapshot();
-  auto runtime_block = bench::jobj();
-  bench::jset(runtime_block, "configured_threads",
-              bench::jnum(snap.configured_threads));
-  bench::jset(runtime_block, "hardware_threads",
-              bench::jnum(snap.hardware_threads));
-  bench::jset(runtime_block, "parallel_efficiency",
-              bench::jnum(snap.parallel_efficiency));
-  bench::jset(runtime_block, "worker_imbalance",
-              bench::jnum(snap.worker_imbalance));
-  bench::jset(runtime_block, "wait_fraction", bench::jnum(snap.wait_fraction));
-  bench::jset(runtime_block, "trials",
-              bench::jnum(static_cast<double>(snap.trials)));
-  bench::jset(runtime_block, "tasks",
-              bench::jnum(static_cast<double>(snap.tasks)));
-  bench::update_bench_subblock(bench::bench_json_path(), "runtime",
-                               "table1_wild", std::move(runtime_block));
-  if (!runtime_was_enabled) obs::runtime::set_enabled(false);
   obs_run.report().verdict = "completed";
   return 0;
 }

@@ -28,11 +28,10 @@
 // Every command but inspect, merge and compare runs under
 // obs::ObservedSweep, the benches' run harness: wild and session honour
 // the observability environment (WEHEY_TRACE, WEHEY_METRICS, WEHEY_REPORT
-// / WEHEY_REPORT_DIR, WEHEY_REPORT_MODE), WEHEY_RUNTIME_REPORT writes a
-// wall-clock sidecar and WEHEY_PROGRESS streams sweep progress; notices go
-// to stderr. wild, session, sweep and full inject a shipped chaos plan
-// with --faults NAME (or WEHEY_FAULT_PLAN; seed: --chaos-seed /
-// WEHEY_CHAOS_SEED).
+// / WEHEY_REPORT_DIR, WEHEY_REPORT_MODE) and WEHEY_PROGRESS streams sweep
+// progress; notices go to stderr. wild, session, sweep and full inject a
+// shipped chaos plan with --faults NAME (or WEHEY_FAULT_PLAN; seed:
+// --chaos-seed / WEHEY_CHAOS_SEED).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -552,28 +551,6 @@ int cmd_compare(int argc, char** argv) {
                    error.c_str());
       return 2;
     }
-  }
-  // Surface trial-grid multi-thread timings (BENCH_parallel.json "grid"
-  // blocks, recorded under bench/baselines/) so a drift verdict comes
-  // with the wall-clock context of both sides.
-  for (int i = 0; i < 2; ++i) {
-    const obs::JsonValue* grid = docs[i].find("grid");
-    const obs::JsonValue* runs = grid != nullptr ? grid->find("runs") : nullptr;
-    if (runs == nullptr || runs->type != obs::JsonValue::Type::Array) continue;
-    std::string line = i == 0 ? "grid timings (baseline):" :
-                                "grid timings (candidate):";
-    for (const auto& run : runs->array) {
-      const obs::JsonValue* threads = run.find("threads");
-      const obs::JsonValue* secs = run.find("seconds");
-      const obs::JsonValue* speedup = run.find("speedup");
-      if (threads == nullptr || secs == nullptr) continue;
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), " %dT=%.3fs(%.2fx)",
-                    static_cast<int>(threads->number), secs->number,
-                    speedup != nullptr ? speedup->number : 0.0);
-      line += buf;
-    }
-    std::fprintf(stderr, "note: %s\n", line.c_str());
   }
   const auto result = obs::compare_reports(docs[0], docs[1], opts);
   for (const auto& note : result.notes) {

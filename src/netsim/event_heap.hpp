@@ -32,7 +32,6 @@
 #include "common/check.hpp"
 #include "common/time.hpp"
 #include "netsim/inplace_action.hpp"
-#include "obs/runtime.hpp"
 
 namespace wehey::netsim {
 
@@ -188,11 +187,6 @@ class EventHeap {
     WEHEY_EXPECTS(slot_count_ < kSlotLimit);
     if (slot_count_ == chunks_.size() * kChunkSize) {
       chunks_.push_back(std::make_unique<Chunk>());
-      // Counting-allocator hook: pool growth is the simulator's only
-      // steady-state allocation, so this is cheap enough to call inline.
-      if (obs::runtime::enabled()) {
-        obs::runtime::note_event_heap_chunk(sizeof(Chunk));
-      }
     }
     return static_cast<std::uint32_t>(slot_count_++);
   }

@@ -695,19 +695,6 @@ CompareResult compare_reports(const JsonValue& baseline,
         continue;
       }
       matched = true;
-      // Floors don't apply to oversubscribed rows: when the row ran more
-      // threads than the host has, its speedup/efficiency measures the
-      // machine, not the engine.
-      const auto dot = key.rfind('.');
-      if (dot != std::string::npos && dot > 0) {
-        const auto flag = cand.find(key.substr(0, dot) + ".oversubscribed");
-        if (flag != cand.end() && flag->second.type == JsonValue::Type::Bool &&
-            flag->second.boolean) {
-          result.notes.push_back("floor skipped at " + key +
-                                 " (oversubscribed row)");
-          continue;
-        }
-      }
       if (c.number < floor) {
         result.failures.push_back("below floor at " + key + ": " +
                                   json_number(c.number) + " < " +

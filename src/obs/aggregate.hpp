@@ -194,10 +194,8 @@ struct CompareOptions {
   /// seconds, host-dependent throughput numbers, ...
   std::vector<std::string> ignore;
   /// Floors: the candidate value at every key matching the regex must be
-  /// >= the given bound (used for speedup gates, independent of the
-  /// baseline value). A match whose sibling `<parent>.oversubscribed` is
-  /// true is exempt (noted, still counted as a match): a row that ran
-  /// more threads than the host has measures the machine, not the engine.
+  /// >= the given bound (used for accuracy and stability gates,
+  /// independent of the baseline value).
   std::vector<std::pair<std::string, double>> min_keys;
   /// Existence assertions: each regex must match at least one flattened
   /// candidate key (of any type) or the comparison fails. Guards CI gates

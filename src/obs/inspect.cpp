@@ -9,7 +9,6 @@
 #include "obs/aggregate.hpp"
 #include "obs/checkpoint.hpp"
 #include "obs/report.hpp"
-#include "obs/runtime.hpp"
 
 namespace wehey::obs {
 
@@ -231,12 +230,6 @@ bool is_run_report(const JsonValue& doc) {
 bool is_chrome_trace(const JsonValue& doc) {
   const JsonValue* events = doc.find("traceEvents");
   return events != nullptr && events->type == JsonValue::Type::Array;
-}
-
-bool is_runtime_report(const JsonValue& doc) {
-  const JsonValue* schema = doc.find("schema");
-  return schema != nullptr && schema->type == JsonValue::Type::String &&
-         schema->str == kRuntimeReportSchema;
 }
 
 // ---------------------------------------------------------- report render
@@ -859,93 +852,6 @@ bool render_checkpoint_journal(const std::string& path, std::FILE* out) {
 
 }  // namespace
 
-void render_runtime(const JsonValue& doc, std::FILE* out) {
-  const auto num = [](const JsonValue* obj, const char* key) -> double {
-    if (obj == nullptr) return 0.0;
-    const JsonValue* v = obj->find(key);
-    return v != nullptr ? v->num_or(0.0) : 0.0;
-  };
-  std::fprintf(out, "runtime report  %s\n", str_or(doc, "schema"));
-  std::fprintf(out, "  run          %s\n", str_or(doc, "run"));
-  std::fprintf(out, "  wall         %.3f s\n", num(&doc, "wall_seconds"));
-  const JsonValue* threads = doc.find("threads");
-  if (threads != nullptr) {
-    const JsonValue* over = threads->find("oversubscribed");
-    std::fprintf(out,
-                 "  threads      configured=%.0f hardware=%.0f "
-                 "contexts=%.0f%s\n",
-                 num(threads, "configured"), num(threads, "hardware"),
-                 num(threads, "contexts"),
-                 over != nullptr && over->boolean ? " OVERSUBSCRIBED" : "");
-  }
-
-  const JsonValue* workers = doc.find("workers");
-  if (workers != nullptr && workers->type == JsonValue::Type::Array &&
-      !workers->array.empty()) {
-    print_rule(out, "workers (wall-clock; busy = running chunks)");
-    std::fprintf(out, "  %3s  %-6s  %10s  %10s  %10s  %8s  %8s\n", "id",
-                 "kind", "busy_ms", "idle_ms", "wait_ms", "chunks", "tasks");
-    for (const JsonValue& w : workers->array) {
-      std::fprintf(out, "  %3.0f  %-6s  %10.1f  %10.1f  %10.1f  %8.0f  %8.0f\n",
-                   num(&w, "id"), str_or(w, "kind"), num(&w, "busy_ms"),
-                   num(&w, "idle_ms"), num(&w, "wait_ms"), num(&w, "chunks"),
-                   num(&w, "tasks"));
-    }
-  }
-
-  const JsonValue* sched = doc.find("scheduler");
-  if (sched != nullptr) {
-    print_rule(out, "scheduler");
-    std::fprintf(out, "  jobs                 %.0f\n", num(sched, "jobs"));
-    std::fprintf(out, "  tasks                %.0f\n", num(sched, "tasks"));
-    std::fprintf(out, "  queue high-water     %.0f\n",
-                 num(sched, "queue_depth_high_water"));
-    std::fprintf(out, "  drain waits          %.0f\n",
-                 num(sched, "drain_waits"));
-    std::fprintf(out, "  parallel efficiency  %.3f\n",
-                 num(sched, "parallel_efficiency"));
-    std::fprintf(out, "  worker imbalance     %.3f\n",
-                 num(sched, "worker_imbalance"));
-    std::fprintf(out, "  wait fraction        %.3f\n",
-                 num(sched, "wait_fraction"));
-    std::fprintf(out, "  idle fraction        %.3f\n",
-                 num(sched, "idle_fraction"));
-    const JsonValue* lat = sched->find("submit_to_start_us");
-    if (lat != nullptr && num(lat, "count") > 0) {
-      const Quantiles p = json_quantiles(*lat);
-      std::fprintf(out,
-                   "  submit-to-start      p50=%.1fus p90=%.1fus p99=%.1fus "
-                   "(n=%.0f)\n",
-                   p.p50, p.p90, p.p99, num(lat, "count"));
-    }
-  }
-
-  const JsonValue* trials = doc.find("trials");
-  if (trials != nullptr) {
-    print_rule(out, "trials");
-    std::fprintf(out, "  count        %.0f (supervised %.0f)\n",
-                 num(trials, "count"), num(trials, "supervised"));
-    const JsonValue* wall = trials->find("wall_ms");
-    if (wall != nullptr && num(wall, "count") > 0) {
-      const Quantiles p = json_quantiles(*wall);
-      std::fprintf(out,
-                   "  wall         p50=%.1fms p90=%.1fms p99=%.1fms "
-                   "max=%.1fms\n",
-                   p.p50, p.p90, p.p99, num(wall, "max"));
-    }
-  }
-
-  const JsonValue* process = doc.find("process");
-  if (process != nullptr) {
-    print_rule(out, "process");
-    std::fprintf(out, "  rss peak     %.0f KiB\n",
-                 num(process, "rss_peak_kb"));
-    std::fprintf(out, "  event heap   %.0f chunks, %.0f bytes\n",
-                 num(process, "event_heap_chunks"),
-                 num(process, "event_heap_bytes"));
-  }
-}
-
 bool inspect_file(const std::string& path, std::FILE* out) {
   std::string text;
   if (!read_file(path, text)) {
@@ -971,10 +877,6 @@ bool inspect_file(const std::string& path, std::FILE* out) {
   }
   if (is_chrome_trace(doc)) {
     render_trace(doc, out);
-    return true;
-  }
-  if (is_runtime_report(doc)) {
-    render_runtime(doc, out);
     return true;
   }
   // A one-line journal parses as a single checkpoint entry.

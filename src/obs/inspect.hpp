@@ -2,11 +2,11 @@
 //
 // Reads the JSON artifacts the obs layer emits — wehey.run_report.v5
 // RunReports, wehey.sweep_report.v1 aggregates, wehey.sweep_checkpoint.v1
-// journals, wehey.runtime_report.v1 sidecars and Chrome-trace timelines —
-// and renders human-readable summaries: per-stage latency and self-time
-// profiles, p50/p90/p99 percentiles per histogram (from the report's
-// "percentiles" section), per-flow RTT/loss tables, queue-residency and
-// drop-by-reason breakdowns, and link utilization. Any other schema tag,
+// journals and Chrome-trace timelines — and renders human-readable
+// summaries: per-stage latency and self-time profiles, p50/p90/p99
+// percentiles per histogram (from the report's "percentiles" section),
+// per-flow RTT/loss tables, queue-residency and drop-by-reason breakdowns,
+// and link utilization. Any other schema tag,
 // older versions included, is refused. Optional sections (cell, ground
 // truth, audit, fault-free injection) may be absent: the renderer skips
 // what is missing instead of failing.
@@ -48,16 +48,10 @@ bool json_parse(const std::string& text, JsonValue& out,
 
 bool is_run_report(const JsonValue& doc);
 bool is_chrome_trace(const JsonValue& doc);
-/// Schema tag starts with "wehey.runtime_report." (the engine-telemetry
-/// sidecar — see obs/runtime.hpp).
-bool is_runtime_report(const JsonValue& doc);
 
 void render_report(const JsonValue& doc, std::FILE* out);
 void render_sweep(const JsonValue& doc, std::FILE* out);
 void render_trace(const JsonValue& doc, std::FILE* out);
-/// Worker table, scheduler-efficiency metrics and latency percentiles of
-/// a runtime sidecar.
-void render_runtime(const JsonValue& doc, std::FILE* out);
 
 /// Slurp a file; false on I/O error.
 bool read_file(const std::string& path, std::string& out);

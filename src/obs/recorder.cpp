@@ -74,9 +74,6 @@ ObservedSweep::ObservedSweep(std::string run_name,
   report_.run = std::move(run_name);
   const char* dir = std::getenv("WEHEY_REPORT_DIR");
   if (dir != nullptr && mode_ != ReportMode::kSweep) run_dir_ = dir;
-  // Engine runtime telemetry (WEHEY_RUNTIME_REPORT): wall-clock profiler
-  // sidecar, deliberately separate from the deterministic report files.
-  runtime::enable_from_env();
   if (checkpoint_path.empty()) return;
   // An existing journal means this sweep is a resume. A journal the loader
   // rejects is left untouched: appending behind its bad line would make
@@ -200,12 +197,9 @@ ObservedSweep::~ObservedSweep() {
       }
     }
   }
-  // Final wall-clock summary (always, when runs were absorbed) and the
-  // runtime-telemetry sidecar. Both live outside the deterministic report
-  // files: the summary goes to stderr, the sidecar to its own
-  // WEHEY_RUNTIME_REPORT path.
+  // Final wall-clock summary (always, when runs were absorbed), on stderr
+  // and outside the deterministic report files.
   meter_.finish();
-  runtime::write_runtime_report_from_env(aggregator_.sweep_name());
 }
 
 }  // namespace wehey::obs

@@ -34,7 +34,7 @@
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/runtime.hpp"
+#include "obs/runtime.hpp"  // ProgressMeter
 #include "obs/timeline.hpp"
 
 namespace wehey::obs {
@@ -88,7 +88,7 @@ class ScopedRecorder {
 /// The run harness every front end (each bench binary, wehey_cli) opens
 /// first thing; the only code that turns the obs environment into
 /// artifacts. It reads WEHEY_TRACE / METRICS / REPORT / REPORT_DIR /
-/// REPORT_MODE / RUNTIME_REPORT / PROGRESS (and by default CHECKPOINT),
+/// REPORT_MODE / PROGRESS (and by default CHECKPOINT),
 /// binds a run-wide Recorder to the constructing thread, and on
 /// destruction writes the trace, report() and the sweep report. With none
 /// of the variables set it is a few getenv calls and nothing else.

@@ -1,47 +1,39 @@
-// Engine runtime telemetry: a wall-clock profiler for the execution
-// engine itself (thread pool, trial runners, allocator high-water marks)
+// Engine runtime telemetry: a wall-clock profiler for the thread pool
 // plus a live sweep progress meter.
 //
 // Everything in this header observes the *engine* on the *wall* clock —
 // the opposite of every other obs component, which observes the
 // *simulation* on the *sim* clock. Wall-clock data is inherently
 // nondeterministic, so none of it may ever reach the byte-identical
-// RunReport / sweep-report contract: the profiler serializes into its own
-// `wehey.runtime_report.v1` sidecar (WEHEY_RUNTIME_REPORT=<path>), and the
-// progress meter writes only to stderr.
+// RunReport / sweep-report contract: the profiler is read in process
+// through snapshot() (perfbench's traced pass reports its efficiency,
+// imbalance, wait fraction and submit-to-start p99 as the `parallel.*`
+// metrics), and the progress meter writes only to stderr.
 //
 // Cost model, mirroring hotpath.hpp:
 //
 //   * disabled (the default): every hook is one relaxed atomic load and a
 //     branch;
-//   * enabled (WEHEY_RUNTIME_REPORT set, or set_enabled(true)): per-thread
-//     slots with relaxed atomic counters — writers never share a cache
-//     line with other writers' hot fields, and the only synchronization is
-//     the one-time slot registration.
+//   * enabled (set_enabled(true)): per-thread slots with relaxed atomic
+//     counters — writers never share a cache line with other writers' hot
+//     fields, and the only synchronization is the one-time slot
+//     registration.
 //
-// Deterministic-count contract: the *count* fields (tasks executed, trials
-// run, jobs submitted) are pure functions of the workload, so they are
-// exactly equal across WEHEY_THREADS settings — the parallel engine counts
-// them on its serial fallback paths too. The *time* fields (busy/idle/wait,
-// latency histograms, RSS) are wall-clock and only comparable as ranges.
+// Deterministic-count contract: the *count* fields (tasks executed, jobs
+// submitted) are pure functions of the workload, so `tasks` is exactly
+// equal across WEHEY_THREADS settings — the parallel engine counts it on
+// its serial fallback paths too. The *time* fields (busy/idle/wait, the
+// submit-to-start histogram) are wall-clock and only comparable as ranges.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
-namespace wehey::obs {
-
-/// Schema tag of the runtime sidecar document (see report.hpp for the
-/// deterministic report schemas). tools/runtime_report_schema.json must
-/// name this value (asserted by tests/test_sweep.cpp).
-inline constexpr char kRuntimeReportSchema[] = "wehey.runtime_report.v1";
-
-namespace runtime {
+namespace wehey::obs::runtime {
 
 // ------------------------------------------------------------ cheap gate
 
@@ -55,13 +47,8 @@ inline bool enabled() {
 /// Turn the profiler on/off at runtime.
 void set_enabled(bool on);
 
-/// Enable the profiler iff WEHEY_RUNTIME_REPORT is set (to a non-empty,
-/// non-"0" value). Returns the resulting enabled() state. Idempotent — the
-/// counters are NOT reset, so late callers don't erase earlier samples.
-bool enable_from_env();
-
 /// Zero every counter, histogram and watermark and restart the profiler's
-/// wall clock. Bench loops call this between measured phases.
+/// wall clock, so the next snapshot() covers one measured phase.
 void reset();
 
 /// Monotonic nanoseconds for hook call sites (steady_clock).
@@ -109,19 +96,6 @@ void note_submit_to_start(std::uint64_t ns);
 /// exact across thread counts.
 void note_serial_tasks(std::uint64_t n, std::uint64_t ns);
 
-/// One parallel_map trial finished, `wall_ms` of wall time. Counted on
-/// both the pooled and the serial path, so trials.count is exact across
-/// thread counts.
-void note_trial(double wall_ms);
-
-/// The supervisor installed a per-trial budget on a simulator — i.e. one
-/// budgeted trial simulator came up. Deterministic count.
-void note_trial_supervised();
-
-/// The EventHeap slot pool grew by one chunk of `bytes` bytes. Rare
-/// (pool growth only), so the counting-allocator hook is a plain call.
-void note_event_heap_chunk(std::size_t bytes);
-
 // Busy-region nesting. A trial body that reaches a nested parallel_map /
 // parallel_for runs it serially in place (t_in_parallel_region), so the
 // nested loop re-walks nanoseconds the enclosing chunk is already timing.
@@ -158,7 +132,6 @@ struct HistSnapshot {
   double lo = 0.0;
   double hi = 0.0;
   std::uint64_t count = 0;
-  double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
   std::vector<std::uint64_t> bins;
@@ -176,8 +149,6 @@ struct WorkerSnapshot {
 
 struct RuntimeSnapshot {
   double wall_seconds = 0.0;  ///< since enable/reset
-  unsigned configured_threads = 0;
-  unsigned hardware_threads = 0;
   std::vector<WorkerSnapshot> workers;  ///< threads that recorded anything
 
   // Scheduler totals and derived efficiency metrics.
@@ -194,36 +165,15 @@ struct RuntimeSnapshot {
   double worker_imbalance = 1.0;
   /// Sum(drain wait) / Sum(busy + idle + drain wait).
   double wait_fraction = 0.0;
-  /// Sum(worker idle) / Sum(busy + idle + drain wait).
-  double idle_fraction = 0.0;
-
-  // Trial accounting (parallel_map / supervisor).
-  std::uint64_t trials = 0;  ///< deterministic: exact across thread counts
-  std::uint64_t trials_supervised = 0;  ///< budgeted simulators brought up
-  HistSnapshot trial_wall_ms;
-
-  // Process-level resources.
-  std::uint64_t event_heap_chunks = 0;
-  std::uint64_t event_heap_bytes = 0;
-  std::uint64_t rss_peak_kb = 0;  ///< VmHWM; 0 where /proc is unavailable
 };
 
 /// Consistent-enough copy of all counters (relaxed reads — take it when
 /// the engine is quiescent for exact numbers).
 RuntimeSnapshot snapshot();
 
-/// Serialize a snapshot as a wehey.runtime_report.v1 document.
-std::string runtime_report_json(const RuntimeSnapshot& snap,
-                                const std::string& run_name);
+}  // namespace wehey::obs::runtime
 
-/// The sidecar output path: WEHEY_RUNTIME_REPORT (empty / "0" = off).
-std::string runtime_report_path_from_env();
-
-/// Write the current snapshot to the WEHEY_RUNTIME_REPORT path, if set
-/// and the profiler is enabled. Returns false only on I/O error.
-bool write_runtime_report_from_env(const std::string& run_name);
-
-}  // namespace runtime
+namespace wehey::obs {
 
 // ------------------------------------------------------ progress meter
 

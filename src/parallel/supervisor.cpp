@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "obs/runtime.hpp"
-
 namespace wehey::parallel {
 namespace {
 
@@ -36,7 +34,6 @@ netsim::TrialBudget trial_budget_from_env() {
 
 void install_trial_budget(netsim::Simulator& sim) {
   sim.set_trial_budget(trial_budget_from_env());
-  if (obs::runtime::enabled()) obs::runtime::note_trial_supervised();
 }
 
 }  // namespace wehey::parallel

@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <atomic>
+#include <cstdlib>
 #include <exception>
 
 namespace wehey::parallel {
@@ -11,7 +12,36 @@ namespace {
 /// loop serially instead of re-entering the pool.
 thread_local bool t_in_parallel_region = false;
 
+unsigned resolve_configured_threads() {
+  if (const char* env = std::getenv("WEHEY_THREADS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v > 0) return static_cast<unsigned>(v);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
 }  // namespace
+
+unsigned configured_threads() {
+  static const unsigned threads = resolve_configured_threads();
+  return threads;
+}
+
+namespace detail {
+
+void run_serial(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (!obs::runtime::enabled()) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  obs::runtime::ScopedBusy busy;
+  const std::uint64_t t0 = obs::runtime::now_ns();
+  for (std::size_t i = 0; i < n; ++i) fn(i);
+  obs::runtime::note_serial_tasks(n, obs::runtime::now_ns() - t0);
+}
+
+}  // namespace detail
 
 struct ThreadPool::Job {
   std::size_t n = 0;
@@ -121,14 +151,7 @@ void ThreadPool::parallel_for(std::size_t n,
   const unsigned width =
       max_threads == 0 ? size() : std::min(max_threads, size());
   if (width <= 1 || n == 1 || workers_.empty() || t_in_parallel_region) {
-    if (obs::runtime::enabled()) {
-      obs::runtime::ScopedBusy busy;
-      const std::uint64_t t0 = obs::runtime::now_ns();
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      obs::runtime::note_serial_tasks(n, obs::runtime::now_ns() - t0);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-    }
+    detail::run_serial(n, fn);
     return;
   }
 

@@ -23,18 +23,22 @@
 #include <thread>
 #include <vector>
 
-#include "common/threads.hpp"
 #include "obs/recorder.hpp"
 #include "obs/runtime.hpp"
 
 namespace wehey::parallel {
 
+/// WEHEY_THREADS if set to a positive integer, else
+/// std::thread::hardware_concurrency() (at least 1). Read once and cached
+/// — safe to call from any thread afterwards.
+unsigned configured_threads();
+
 class ThreadPool {
  public:
   /// A pool with `threads` total execution contexts (including the
   /// caller); spawns threads-1 workers. threads == 0 means
-  /// configured_threads() (common/threads.hpp); WEHEY_THREADS=1 forces
-  /// the fully serial path (no pool threads touched).
+  /// configured_threads(); WEHEY_THREADS=1 forces the fully serial path
+  /// (no pool threads touched).
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -73,35 +77,21 @@ class ThreadPool {
 
 namespace detail {
 
+/// fn(i) for every i in [0, n), in order on the calling thread — the
+/// engine's serial path. With runtime telemetry enabled the loop is one
+/// busy region and its iterations are counted, so `tasks` stays exact
+/// across thread counts.
+void run_serial(std::size_t n, const std::function<void(std::size_t)>& fn);
+
 /// parallel_map's trial loop: pooled when `threads > 1 && n > 1`, serial
-/// bypass otherwise. With runtime telemetry enabled, wraps every trial in
-/// wall-time measurement (runtime::note_trial) and counts the serial
-/// bypass's iterations too, so trials.count and tasks stay exact across
-/// thread counts.
+/// bypass otherwise (which never touches the global pool).
 inline void map_loop(std::size_t n,
                      const std::function<void(std::size_t)>& body,
                      unsigned threads) {
-  if (!obs::runtime::enabled()) {
-    if (threads <= 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-    } else {
-      ThreadPool::global().parallel_for(n, body, threads);
-    }
-    return;
-  }
-  const std::function<void(std::size_t)> timed = [&](std::size_t i) {
-    const std::uint64_t t0 = obs::runtime::now_ns();
-    body(i);
-    obs::runtime::note_trial(
-        static_cast<double>(obs::runtime::now_ns() - t0) / 1e6);
-  };
   if (threads <= 1 || n <= 1) {
-    obs::runtime::ScopedBusy busy;
-    const std::uint64_t t0 = obs::runtime::now_ns();
-    for (std::size_t i = 0; i < n; ++i) timed(i);
-    obs::runtime::note_serial_tasks(n, obs::runtime::now_ns() - t0);
+    run_serial(n, body);
   } else {
-    ThreadPool::global().parallel_for(n, timed, threads);
+    ThreadPool::global().parallel_for(n, body, threads);
   }
 }
 

@@ -21,7 +21,6 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
-#include "obs/runtime.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace wehey::obs {
@@ -437,24 +436,6 @@ TEST(Compare, MissingKeysIgnoreAndFloors) {
   EXPECT_FALSE(
       compare_reports(parse("{\"a\": 1}"), parse("{\"a\": 1}"), dangling)
           .ok);
-  // A row that ran more threads than the host has measures the machine:
-  // its floor is skipped with a note, yet the row still counts as a
-  // match (so the pattern does not fail as matching nothing).
-  CompareOptions grid;
-  grid.min_keys.emplace_back("grid\\.runs\\[.*\\]\\.speedup", 0.55);
-  const JsonValue oversubscribed = parse(
-      "{\"grid\": {\"runs\": [{\"speedup\": 0.3, "
-      "\"oversubscribed\": true}]}}");
-  const auto skipped = compare_reports(oversubscribed, oversubscribed, grid);
-  EXPECT_TRUE(skipped.ok) << (skipped.failures.empty() ? ""
-                                                       : skipped.failures[0]);
-  ASSERT_EQ(skipped.notes.size(), 1u);
-  EXPECT_EQ(skipped.notes[0],
-            "floor skipped at grid.runs[0].speedup (oversubscribed row)");
-  const JsonValue fits = parse(
-      "{\"grid\": {\"runs\": [{\"speedup\": 0.3, "
-      "\"oversubscribed\": false}]}}");
-  EXPECT_FALSE(compare_reports(fits, fits, grid).ok);
 }
 
 TEST(Compare, PerKeyToleranceOverride) {
@@ -611,16 +592,6 @@ TEST(Schema, ToolsSchemasNameTheCppConstants) {
   ASSERT_NE(ckpt_const, nullptr);
   EXPECT_EQ(ckpt_const->str, kSweepCheckpointSchema);
 
-  ASSERT_TRUE(read_file(root + "/tools/runtime_report_schema.json", text));
-  JsonValue runtime_schema;
-  ASSERT_TRUE(json_parse(text, runtime_schema, &error)) << error;
-  const JsonValue* runtime_const = runtime_schema.find("properties");
-  ASSERT_NE(runtime_const, nullptr);
-  runtime_const = runtime_const->find("schema");
-  ASSERT_NE(runtime_const, nullptr);
-  runtime_const = runtime_const->find("const");
-  ASSERT_NE(runtime_const, nullptr);
-  EXPECT_EQ(runtime_const->str, kRuntimeReportSchema);
 }
 
 // -------------------------------------------------- inspect hardening
@@ -726,13 +697,27 @@ TEST(Inspect, RefusesPreV5RunReports) {
   EXPECT_NE(error.find(kRunReportSchema), std::string::npos) << error;
   EXPECT_EQ(agg.runs(), 0u);
 
+  // The retired engine-telemetry sidecar is refused by name, too.
   const std::string dir = ::testing::TempDir();
   const std::string path = dir + "/v4.json";
+  const std::string sidecar = dir + "/sidecar.json";
+  const std::string sidecar_tag = std::string("wehey.runtime") + "_report.v1";
   ASSERT_TRUE(write_report_file(path, json));
+  ASSERT_TRUE(write_report_file(
+      sidecar, "{\"schema\": \"" + sidecar_tag +
+                   "\", \"run\": \"old\", \"wall_seconds\": 1.5, "
+                   "\"scheduler\": {\"tasks\": 8}}"));
   const std::string sink_path = dir + "/v4.txt";
   std::FILE* sink = std::fopen(sink_path.c_str(), "w");
   ASSERT_NE(sink, nullptr);
   EXPECT_FALSE(inspect_file(path, sink));
+  ::testing::internal::CaptureStderr();
+  const bool sidecar_ok = inspect_file(sidecar, sink);
+  const std::string sidecar_err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(sidecar_ok);
+  EXPECT_NE(sidecar_err.find("unsupported schema \"" + sidecar_tag + "\""),
+            std::string::npos)
+      << sidecar_err;
   std::fclose(sink);
   std::string rendered;
   ASSERT_TRUE(read_file(sink_path, rendered));

@@ -11,16 +11,10 @@ rejects keys it does not name unless the schema *explicitly* sets
 renamed or drifted report field slide through CI silently.
 
 Each file picks its schema from its own "schema" field —
-wehey.run_report.* validates against run_report_schema.json,
-wehey.sweep_report.* against sweep_report_schema.json,
-wehey.sweep_checkpoint.* against sweep_checkpoint_schema.json,
-wehey.runtime_report.* against runtime_report_schema.json. --schema
-forces one schema for every file instead.
-
-Runtime sidecars (the wall-clock engine telemetry documents) must never
-embed a 'decision' or 'cells' section: those belong to the deterministic
-run/sweep reports, and their presence means a writer was cross-wired.
-Such files fail with a targeted message before schema validation.
+wehey.sweep_report.* validates against sweep_report_schema.json,
+wehey.sweep_checkpoint.* against sweep_checkpoint_schema.json, and
+anything else against run_report_schema.json. --schema forces one schema
+for every file instead.
 
 Checkpoint journals are JSONL (one checkpoint document per line): each
 line validates against the checkpoint schema and its embedded serialized
@@ -31,7 +25,6 @@ Usage:
   tools/validate_report.py report.json sweep.json checkpoint.jsonl [...]
   tools/validate_report.py --schema tools/run_report_schema.json report.json
   tools/validate_report.py --trace trace.json          # chrome-trace sanity
-  tools/validate_report.py --bench-overhead BENCH_parallel.json --max 0.02
 
 Exit status is non-zero on the first failing file, so CI can gate on it.
 """
@@ -112,8 +105,6 @@ def pick_schema(report, schemas, forced):
         return schemas["sweep"]
     if tag.startswith("wehey.sweep_checkpoint."):
         return schemas["checkpoint"]
-    if tag.startswith("wehey.runtime_report."):
-        return schemas["runtime"]
     return schemas["run"]
 
 
@@ -174,35 +165,11 @@ def check_report(path, schemas, forced=None):
             and report.get("schema", "").startswith("wehey.sweep_checkpoint.")):
         # A one-line journal parses as a single checkpoint document.
         return check_checkpoint_journal(path, text, schemas, forced)
-    is_runtime = (isinstance(report, dict)
-                  and report.get("schema", "")
-                  .startswith("wehey.runtime_report."))
-    if is_runtime:
-        # Cross-wired writer check: a runtime sidecar carrying sections of
-        # the deterministic reports means wall-clock data is about to leak
-        # into (or masquerade as) the byte-identical report contract.
-        crossed = [k for k in ("decision", "ground_truth", "audit", "cells")
-                   if k in report]
-        if crossed:
-            print(f"{path}: runtime sidecar embeds deterministic-report "
-                  f"section(s) {crossed} — cross-wired writer",
-                  file=sys.stderr)
-            return False
     errors = validate(report, pick_schema(report, schemas, forced))
     for err in errors:
         print(f"{path}: {err}", file=sys.stderr)
     if errors:
         return False
-    if is_runtime:
-        sched = report.get("scheduler", {})
-        print(
-            f"{path}: OK (runtime={report['run']!r}, "
-            f"contexts={len(report.get('workers', []))}, "
-            f"tasks={sched.get('tasks', 0)}, "
-            f"efficiency={sched.get('parallel_efficiency', 0):.3f}, "
-            f"imbalance={sched.get('worker_imbalance', 0):.3f})"
-        )
-        return True
     if isinstance(report, dict) and "sweep" in report:
         verdicts = ", ".join(
             f"{v}={n}" for v, n in report.get("verdicts", {}).items()
@@ -252,33 +219,6 @@ def check_trace(path):
     return ok
 
 
-def check_bench_overhead(path, max_overhead):
-    """Gate on the enabled-but-idle observability overhead reported by
-    bench_event_loop in its JSON output."""
-    with open(path) as f:
-        bench = json.load(f)
-    obs = bench.get("observability")
-    if obs is None:
-        print(f"{path}: no observability block", file=sys.stderr)
-        return False
-    overhead = obs.get("obs_idle_overhead")
-    if overhead is None:
-        print(f"{path}: no obs_idle_overhead value", file=sys.stderr)
-        return False
-    print(f"{path}: obs idle overhead {100.0 * overhead:+.2f}% "
-          f"(limit {100.0 * max_overhead:.0f}%)")
-    ok = overhead <= max_overhead
-    # Same gate for the runtime-telemetry-enabled loop when the bench
-    # reports it (older bench JSON predates the field).
-    runtime_overhead = obs.get("runtime_idle_overhead")
-    if runtime_overhead is not None:
-        print(f"{path}: runtime telemetry idle overhead "
-              f"{100.0 * runtime_overhead:+.2f}% "
-              f"(limit {100.0 * max_overhead:.0f}%)")
-        ok &= runtime_overhead <= max_overhead
-    return ok
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("reports", nargs="*",
@@ -288,13 +228,9 @@ def main():
                              "each document's 'schema' field")
     parser.add_argument("--trace", action="append", default=[],
                         help="chrome-trace JSON file to sanity-check")
-    parser.add_argument("--bench-overhead", metavar="BENCH_JSON",
-                        help="bench_event_loop JSON to gate on idle overhead")
-    parser.add_argument("--max", type=float, default=0.02,
-                        help="max tolerated idle overhead (default 0.02)")
     args = parser.parse_args()
 
-    if not args.reports and not args.trace and not args.bench_overhead:
+    if not args.reports and not args.trace:
         parser.error("nothing to validate")
 
     ok = True
@@ -305,7 +241,6 @@ def main():
             "run": "run_report_schema.json",
             "sweep": "sweep_report_schema.json",
             "checkpoint": "sweep_checkpoint_schema.json",
-            "runtime": "runtime_report_schema.json",
         }
         for kind, filename in schema_files.items():
             with open(os.path.join(here, filename)) as f:
@@ -318,8 +253,6 @@ def main():
             ok &= check_report(path, schemas, forced)
     for path in args.trace:
         ok &= check_trace(path)
-    if args.bench_overhead:
-        ok &= check_bench_overhead(args.bench_overhead, args.max)
     return 0 if ok else 1
 
 
