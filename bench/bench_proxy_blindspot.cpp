@@ -29,7 +29,7 @@ struct RunResult {
 
 RunResult run(bool with_proxy, Rate policer) {
   Simulator sim;
-  PacketIdSource ids;
+  SackStore sacks;
   TcpConfig cfg;
   Demux at_client, at_proxy;
   auto make_policed_link = [&](PacketSink* to) {
@@ -49,8 +49,8 @@ RunResult run(bool with_proxy, Rate policer) {
   if (!with_proxy) {
     auto link = make_policed_link(&at_client);
     Pipe ack(sim, milliseconds(10));
-    TcpSender origin(sim, ids, cfg, 1, kDscpDifferentiated, link.get());
-    TcpReceiver client(sim, ids, cfg, 1, &ack);
+    TcpSender origin(sim, sacks, cfg, 1, kDscpDifferentiated, link.get());
+    TcpReceiver client(sim, sacks, cfg, 1, &ack);
     ack.set_next(&origin);
     at_client.add_route(1, &client);
     origin.supply(8'000'000);
@@ -67,10 +67,10 @@ RunResult run(bool with_proxy, Rate policer) {
                                          &at_proxy);
   Pipe ack_origin(sim, milliseconds(10));
   Pipe ack_proxy(sim, milliseconds(10));
-  TcpSender origin(sim, ids, cfg, 1, kDscpDifferentiated, upstream.get());
-  SplitTcpProxy proxy(sim, ids, cfg, 1, 2, kDscpDifferentiated, &ack_origin,
+  TcpSender origin(sim, sacks, cfg, 1, kDscpDifferentiated, upstream.get());
+  SplitTcpProxy proxy(sim, sacks, cfg, 1, 2, kDscpDifferentiated, &ack_origin,
                       downstream.get());
-  TcpReceiver client(sim, ids, cfg, 2, &ack_proxy);
+  TcpReceiver client(sim, sacks, cfg, 2, &ack_proxy);
   ack_origin.set_next(&origin);
   ack_proxy.set_next(&proxy.downstream_ack_in());
   at_proxy.add_route(1, &proxy.upstream_in());

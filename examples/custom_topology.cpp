@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const double throttle_mbps = argc > 1 ? std::atof(argv[1]) : 3.0;
 
   Simulator sim;
-  PacketIdSource ids;
+  SackStore sacks;
 
   // Client side: a demux delivering to per-flow receivers.
   Demux client;
@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
   TcpConfig cfg;
   Pipe ack1(sim, milliseconds(17));
   Pipe ack2(sim, milliseconds(17));
-  TcpSender snd1(sim, ids, cfg, 1, kDscpDifferentiated, &access);
-  TcpSender snd2(sim, ids, cfg, 2, kDscpDefault, &access);
-  TcpReceiver rcv1(sim, ids, cfg, 1, &ack1);
-  TcpReceiver rcv2(sim, ids, cfg, 2, &ack2);
+  TcpSender snd1(sim, sacks, cfg, 1, kDscpDifferentiated, &access);
+  TcpSender snd2(sim, sacks, cfg, 2, kDscpDefault, &access);
+  TcpReceiver rcv1(sim, sacks, cfg, 1, &ack1);
+  TcpReceiver rcv2(sim, sacks, cfg, 2, &ack2);
   ack1.set_next(&snd1);
   ack2.set_next(&snd2);
   client.add_route(1, &rcv1);

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 
 #include "common/check.hpp"
@@ -17,7 +16,7 @@
 
 namespace wehey::experiments {
 
-/// See the file comment.: packets pass unthrottled until `trigger_bytes` of the
+/// See the file comment: packets pass unthrottled until `trigger_bytes` of the
 /// targeted class have gone through, then a token-bucket filter at a fixed
 /// rate applies (per the §5 hypothesis and Figure 4).
 class DelayedTbfDisc final : public netsim::QueueDisc {
@@ -96,7 +95,7 @@ class DelayedTbfDisc final : public netsim::QueueDisc {
   double tokens_ = 0.0;
   Time last_refill_ = 0;
   std::int64_t bytes_ = 0;
-  std::deque<netsim::Packet> q_;
+  netsim::PacketRing q_;
 };
 
 

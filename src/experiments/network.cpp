@@ -205,9 +205,9 @@ void FigureOneNetwork::attach_background(
                                   : netsim::kDscpDefault;
     rt->ack_pipe = std::make_unique<Pipe>(sim_, reverse_delay(path_index));
     rt->sender = std::make_unique<transport::TcpSender>(
-        sim_, ids_, tcp, flow, dscp, entry);
+        sim_, sacks_, tcp, flow, dscp, entry);
     rt->receiver = std::make_unique<transport::TcpReceiver>(
-        sim_, ids_, tcp, flow, rt->ack_pipe.get());
+        sim_, sacks_, tcp, flow, rt->ack_pipe.get());
     rt->ack_pipe->set_next(rt->sender.get());
     client_->add_route(flow, rt->receiver.get());
 
@@ -256,10 +256,10 @@ int FigureOneNetwork::start_tcp_replay(int path_index,
     const netsim::FlowId flow = next_flow_++;
     auto pipe = std::make_unique<Pipe>(sim_, reverse_delay(path_index));
     auto sender = std::make_unique<transport::TcpSender>(
-        sim_, ids_, tcp, flow, dscp, path_entry(path_index));
+        sim_, sacks_, tcp, flow, dscp, path_entry(path_index));
     if (policer_key != 0) sender->set_policer_key(policer_key);
     auto receiver = std::make_unique<transport::TcpReceiver>(
-        sim_, ids_, tcp, flow, pipe.get());
+        sim_, sacks_, tcp, flow, pipe.get());
     pipe->set_next(sender.get());
     client_->add_route(flow, receiver.get());
     rt->ack_pipes.push_back(std::move(pipe));
@@ -329,7 +329,7 @@ int FigureOneNetwork::start_udp_replay(int path_index,
     schedule = &cut_trace;
   }
   rt->sender = std::make_unique<transport::UdpReplaySender>(
-      sim_, ids_, ucfg, flow, dscp, path_entry(path_index), *schedule, start,
+      sim_, ucfg, flow, dscp, path_entry(path_index), *schedule, start,
       policer_key);
   udp_replays_.push_back(std::move(rt));
   return -static_cast<int>(udp_replays_.size());
@@ -416,9 +416,9 @@ int FigureOneNetwork::start_quic_replay(int path_index,
                                           : netsim::kDscpDefault;
   rt->ack_pipe = std::make_unique<Pipe>(sim_, reverse_delay(path_index));
   rt->sender = std::make_unique<transport::QuicSender>(
-      sim_, ids_, quic, flow, dscp, path_entry(path_index));
+      sim_, sacks_, quic, flow, dscp, path_entry(path_index));
   rt->receiver = std::make_unique<transport::QuicReceiver>(
-      sim_, ids_, quic, flow, rt->ack_pipe.get());
+      sim_, sacks_, quic, flow, rt->ack_pipe.get());
   rt->ack_pipe->set_next(rt->sender.get());
   client_->add_route(flow, rt->receiver.get());
   auto* sender = rt->sender.get();

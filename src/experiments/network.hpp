@@ -212,7 +212,7 @@ class FigureOneNetwork {
   netsim::Simulator& sim_;
   NetworkParams params_;
   Rng& rng_;
-  netsim::PacketIdSource ids_;
+  netsim::SackStore sacks_;  ///< SACK lists of the ACKs in flight
   netsim::FlowId next_flow_ = 1;
 
   std::unique_ptr<netsim::Demux> client_;

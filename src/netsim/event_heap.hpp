@@ -4,7 +4,7 @@
 // Three properties std::priority_queue could not give us:
 //
 //  * zero-move event construction — push() is a template that emplaces the
-//    caller's callable directly into its pool slot, so the (often ~330-byte
+//    caller's callable directly into its pool slot, so the (often
 //    Packet-carrying) capture is copied exactly once, ever;
 //  * in-place dispatch — run_top() invokes the action where it sits and
 //    destroys it afterwards, instead of moving it out of a const top()
@@ -160,7 +160,7 @@ class EventHeap {
   static constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << kSlotBits;
   static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 40;
 
-  /// 64 actions (~25 KiB) per chunk: big enough to amortize allocation,
+  /// 64 actions (~6 KiB) per chunk: big enough to amortize allocation,
   /// small enough that an idle simulator is not holding megabytes.
   static constexpr std::size_t kChunkShift = 6;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;

@@ -2,12 +2,12 @@
 // simulator's event hot path.
 //
 // Every scheduled event used to be a std::function whose capture — most
-// often a Link transmission closure carrying a full ~300-byte Packet by
-// value — exceeded libstdc++'s 16-byte inline buffer and forced one heap
-// allocation (and one deallocation) per packet event. InplaceAction stores
-// captures up to kInlineCapacity bytes directly inside the object, so the
-// typical packet event never touches the allocator; larger captures fall
-// back to a single heap cell transparently.
+// often a Link transmission closure carrying a Packet by value — exceeded
+// libstdc++'s 16-byte inline buffer and forced one heap allocation (and one
+// deallocation) per packet event. InplaceAction stores captures up to
+// kInlineCapacity bytes directly inside the object, so the typical packet
+// event never touches the allocator; larger captures fall back to a single
+// heap cell transparently.
 //
 // Intentionally minimal: move-only, invoke-once-or-many, no target_type /
 // allocator machinery. The dispatch table is one static per callable type.
@@ -23,9 +23,11 @@ namespace wehey::netsim {
 
 class InplaceAction {
  public:
-  /// Sized so a lambda capturing `this` + a Packet (the Link transmit and
-  /// propagation closures, which dominate event traffic) fits inline.
-  static constexpr std::size_t kInlineCapacity = 384;
+  /// Sized for the largest packet closure: the Link transmit closure,
+  /// `this` + a Packet (<= 64 bytes) + a Time. It and the propagation
+  /// closures dominate event traffic. Every slot of the event pool reserves
+  /// this much, so it is kept tight: sizeof(InplaceAction) is 96 bytes.
+  static constexpr std::size_t kInlineCapacity = 80;
 
   InplaceAction() = default;
 

@@ -5,7 +5,7 @@
 namespace wehey::transport {
 
 SplitTcpProxy::SplitTcpProxy(netsim::Simulator& sim,
-                             netsim::PacketIdSource& ids,
+                             netsim::SackStore& sacks,
                              const TcpConfig& cfg,
                              netsim::FlowId upstream_flow,
                              netsim::FlowId downstream_flow,
@@ -14,10 +14,10 @@ SplitTcpProxy::SplitTcpProxy(netsim::Simulator& sim,
                              netsim::PacketSink* downstream) {
   WEHEY_EXPECTS(upstream_ack_out != nullptr);
   WEHEY_EXPECTS(downstream != nullptr);
-  downstream_tx_ = std::make_unique<TcpSender>(sim, ids, cfg,
+  downstream_tx_ = std::make_unique<TcpSender>(sim, sacks, cfg,
                                                downstream_flow, dscp,
                                                downstream);
-  upstream_rx_ = std::make_unique<TcpReceiver>(sim, ids, cfg, upstream_flow,
+  upstream_rx_ = std::make_unique<TcpReceiver>(sim, sacks, cfg, upstream_flow,
                                                upstream_ack_out);
   // Every in-order byte read from the upstream connection is written to
   // the downstream one.

@@ -23,7 +23,7 @@ class SplitTcpProxy {
   /// a new downstream connection `downstream_flow` toward `downstream`
   /// (the next network element toward the client). `upstream_ack_out` is
   /// the reverse path back to the origin server.
-  SplitTcpProxy(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+  SplitTcpProxy(netsim::Simulator& sim, netsim::SackStore& sacks,
                 const TcpConfig& cfg, netsim::FlowId upstream_flow,
                 netsim::FlowId downstream_flow, std::uint8_t dscp,
                 netsim::PacketSink* upstream_ack_out,

@@ -1,7 +1,7 @@
 // Wire mapping of the netsim::Packet fields for QUIC packets:
 //   Data packets: seq = packet number, ack = stream offset, payload = len.
-//   ACK packets:  ack = largest acked packet number; sack[] = acked
-//                 packet-number ranges [start, end).
+//   ACK packets:  ack = largest acked packet number; sack = handle of the
+//                 acked packet-number ranges [start, end) in the SackStore.
 #include "transport/quic.hpp"
 
 #include <algorithm>
@@ -15,10 +15,10 @@ using netsim::PacketKind;
 
 // ---------------------------------------------------------------- sender
 
-QuicSender::QuicSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+QuicSender::QuicSender(netsim::Simulator& sim, netsim::SackStore& sacks,
                        QuicConfig cfg, netsim::FlowId flow,
                        std::uint8_t dscp, netsim::PacketSink* out)
-    : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), dscp_(dscp), out_(out) {
+    : sim_(sim), sacks_(sacks), cfg_(cfg), flow_(flow), dscp_(dscp), out_(out) {
   WEHEY_EXPECTS(out_ != nullptr);
   cwnd_ = cfg_.initial_cwnd_packets * mss_d();
   ssthresh_ = static_cast<double>(cfg_.max_cwnd_bytes);
@@ -79,7 +79,6 @@ void QuicSender::send_packet(std::uint64_t offset, std::uint32_t len) {
   bytes_in_flight_ += len + cfg_.header_bytes;
 
   Packet pkt;
-  pkt.id = ids_.next();
   pkt.flow = flow_;
   pkt.policer_key = policer_key_;
   pkt.kind = PacketKind::Data;
@@ -107,20 +106,24 @@ void QuicSender::receive(Packet pkt) {
 
   std::int64_t newly_acked_bytes = 0;
   Time largest_sent_at = -1;
-  for (const auto& block : pkt.sack) {
-    if (block.empty()) continue;
-    for (auto it = unacked_.lower_bound(block.start);
-         it != unacked_.end() && it->first < block.end;) {
-      newly_acked_bytes += it->second.len;
-      bytes_in_flight_ -= it->second.len + cfg_.header_bytes;
-      acked_stream_ += it->second.len;
-      if (it->first >= largest_acked_pn_) {
-        largest_acked_pn_ = it->first;
-        any_acked_ = true;
-        largest_sent_at = it->second.sent_at;
+  if (pkt.sack != netsim::kNoSack) {
+    const netsim::SackList& list = sacks_.at(pkt.sack);
+    for (int i = 0; i < list.used; ++i) {
+      const netsim::SackBlock& block = list.blocks[i];
+      for (auto it = unacked_.lower_bound(block.start);
+           it != unacked_.end() && it->first < block.end;) {
+        newly_acked_bytes += it->second.len;
+        bytes_in_flight_ -= it->second.len + cfg_.header_bytes;
+        acked_stream_ += it->second.len;
+        if (it->first >= largest_acked_pn_) {
+          largest_acked_pn_ = it->first;
+          any_acked_ = true;
+          largest_sent_at = it->second.sent_at;
+        }
+        it = unacked_.erase(it);
       }
-      it = unacked_.erase(it);
     }
+    sacks_.release(pkt.sack);
   }
 
   if (largest_sent_at >= 0) {
@@ -234,9 +237,9 @@ void QuicSender::on_pto() {
 // -------------------------------------------------------------- receiver
 
 QuicReceiver::QuicReceiver(netsim::Simulator& sim,
-                           netsim::PacketIdSource& ids, QuicConfig cfg,
+                           netsim::SackStore& sacks, QuicConfig cfg,
                            netsim::FlowId flow, netsim::PacketSink* ack_out)
-    : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), ack_out_(ack_out) {
+    : sim_(sim), sacks_(sacks), cfg_(cfg), flow_(flow), ack_out_(ack_out) {
   WEHEY_EXPECTS(ack_out_ != nullptr);
 }
 
@@ -294,19 +297,17 @@ void QuicReceiver::receive(Packet pkt) {
 
 void QuicReceiver::send_ack(Time now) {
   Packet ack;
-  ack.id = ids_.next();
   ack.flow = flow_;
   ack.kind = PacketKind::Ack;
   ack.size = cfg_.ack_bytes;
   ack.sent_at = now;
   // Highest ranges first, as QUIC ACK frames are encoded.
   ack.ack = ranges_.empty() ? 0 : ranges_.back().second;
-  int used = 0;
+  ack.sack = sacks_.acquire();
+  netsim::SackList& list = sacks_.at(ack.sack);
   for (auto it = ranges_.rbegin();
-       it != ranges_.rend() && used < netsim::kMaxSackBlocks; ++it) {
-    ack.sack[used].start = it->first;
-    ack.sack[used].end = it->second + 1;  // [start, end)
-    ++used;
+       it != ranges_.rend() && list.used < netsim::kMaxSackBlocks; ++it) {
+    list.blocks[list.used++] = {it->first, it->second + 1};  // [start, end)
   }
   ack_out_->receive(std::move(ack));
 }

@@ -45,7 +45,7 @@ struct QuicConfig {
 
 class QuicSender final : public netsim::PacketSink {
  public:
-  QuicSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+  QuicSender(netsim::Simulator& sim, netsim::SackStore& sacks,
              QuicConfig cfg, netsim::FlowId flow, std::uint8_t dscp,
              netsim::PacketSink* out);
 
@@ -82,7 +82,7 @@ class QuicSender final : public netsim::PacketSink {
   double mss_d() const { return static_cast<double>(cfg_.max_payload); }
 
   netsim::Simulator& sim_;
-  netsim::PacketIdSource& ids_;
+  netsim::SackStore& sacks_;
   QuicConfig cfg_;
   netsim::FlowId flow_;
   netsim::FlowId policer_key_ = 0;
@@ -125,7 +125,7 @@ class QuicSender final : public netsim::PacketSink {
 
 class QuicReceiver final : public netsim::PacketSink {
  public:
-  QuicReceiver(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+  QuicReceiver(netsim::Simulator& sim, netsim::SackStore& sacks,
                QuicConfig cfg, netsim::FlowId flow,
                netsim::PacketSink* ack_out);
 
@@ -141,7 +141,7 @@ class QuicReceiver final : public netsim::PacketSink {
   void send_ack(Time now);
 
   netsim::Simulator& sim_;
-  netsim::PacketIdSource& ids_;
+  netsim::SackStore& sacks_;
   QuicConfig cfg_;
   netsim::FlowId flow_;
   netsim::PacketSink* ack_out_;

@@ -14,10 +14,10 @@ using netsim::PacketKind;
 
 // ---------------------------------------------------------------- TcpSender
 
-TcpSender::TcpSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+TcpSender::TcpSender(netsim::Simulator& sim, netsim::SackStore& sacks,
                      TcpConfig cfg, netsim::FlowId flow, std::uint8_t dscp,
                      netsim::PacketSink* out)
-    : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), dscp_(dscp), out_(out) {
+    : sim_(sim), sacks_(sacks), cfg_(cfg), flow_(flow), dscp_(dscp), out_(out) {
   WEHEY_EXPECTS(out_ != nullptr);
   cwnd_ = cfg_.initial_cwnd_segments * mss_d();
   ssthresh_ = static_cast<double>(cfg_.max_cwnd_bytes);
@@ -126,7 +126,6 @@ void TcpSender::send_new_segment() {
 void TcpSender::transmit(std::uint64_t seq, const Segment& seg,
                          bool is_retx) {
   Packet pkt;
-  pkt.id = ids_.next();
   pkt.flow = flow_;
   pkt.policer_key = policer_key_;
   pkt.kind = PacketKind::Data;
@@ -172,21 +171,26 @@ void TcpSender::retransmit_front(bool timeout) {
 
 void TcpSender::apply_sack(const Packet& ack_pkt) {
   const std::uint64_t prev_highest = highest_sacked_;
-  for (const auto& block : ack_pkt.sack) {
-    if (block.empty()) continue;
-    for (auto it = outstanding_.lower_bound(block.start);
-         it != outstanding_.end() && it->first + it->second.len <= block.end;
-         ++it) {
-      if (!it->second.sacked) {
-        it->second.sacked = true;
-        sacked_bytes_ += it->second.len;
-        if (it->second.lost) {
-          it->second.lost = false;
-          lost_bytes_ -= it->second.len;
+  if (ack_pkt.sack != netsim::kNoSack) {
+    const netsim::SackList& list = sacks_.at(ack_pkt.sack);
+    for (int i = 0; i < list.used; ++i) {
+      const netsim::SackBlock& block = list.blocks[i];
+      for (auto it = outstanding_.lower_bound(block.start);
+           it != outstanding_.end() &&
+           it->first + it->second.len <= block.end;
+           ++it) {
+        if (!it->second.sacked) {
+          it->second.sacked = true;
+          sacked_bytes_ += it->second.len;
+          if (it->second.lost) {
+            it->second.lost = false;
+            lost_bytes_ -= it->second.len;
+          }
         }
       }
+      if (block.end > highest_sacked_) highest_sacked_ = block.end;
     }
-    if (block.end > highest_sacked_) highest_sacked_ = block.end;
+    sacks_.release(ack_pkt.sack);
   }
 
   // RFC 6675 IsLost, simplified: an unsacked segment more than 3 MSS
@@ -556,10 +560,10 @@ void TcpSender::bbr_on_ack(std::int64_t acked_bytes, Time now,
 
 // -------------------------------------------------------------- TcpReceiver
 
-TcpReceiver::TcpReceiver(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+TcpReceiver::TcpReceiver(netsim::Simulator& sim, netsim::SackStore& sacks,
                          TcpConfig cfg, netsim::FlowId flow,
                          netsim::PacketSink* ack_out)
-    : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), ack_out_(ack_out) {
+    : sim_(sim), sacks_(sacks), cfg_(cfg), flow_(flow), ack_out_(ack_out) {
   WEHEY_EXPECTS(ack_out_ != nullptr);
 }
 
@@ -617,7 +621,6 @@ void TcpReceiver::send_ack(Time now) {
   delack_timer_pending_ = false;
   ++delack_generation_;
   Packet ack;
-  ack.id = ids_.next();
   ack.flow = flow_;
   ack.kind = PacketKind::Ack;
   ack.size = cfg_.ack_bytes;
@@ -628,13 +631,15 @@ void TcpReceiver::send_ack(Time now) {
   ack_out_->receive(std::move(ack));
 }
 
-void TcpReceiver::fill_sack_blocks(Packet& ack) const {
+void TcpReceiver::fill_sack_blocks(Packet& ack) {
   // Merge the out-of-order buffer into contiguous ranges and report up to
   // kMaxSackBlocks of them, highest (most recent) first — like the SACK
-  // option a real receiver builds.
-  int used = 0;
+  // option a real receiver builds. In-order ACKs carry no list at all.
+  if (out_of_order_.empty()) return;
+  ack.sack = sacks_.acquire();
+  netsim::SackList& list = sacks_.at(ack.sack);
   auto it = out_of_order_.rbegin();
-  while (it != out_of_order_.rend() && used < netsim::kMaxSackBlocks) {
+  while (it != out_of_order_.rend() && list.used < netsim::kMaxSackBlocks) {
     std::uint64_t end = it->first + it->second;
     std::uint64_t start = it->first;
     // Extend the range downwards through contiguous entries.
@@ -644,9 +649,7 @@ void TcpReceiver::fill_sack_blocks(Packet& ack) const {
       start = next->first;
       ++next;
     }
-    ack.sack[used].start = start;
-    ack.sack[used].end = end;
-    ++used;
+    list.blocks[list.used++] = {start, end};
     it = next;
   }
 }

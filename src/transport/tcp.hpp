@@ -77,7 +77,7 @@ class TcpSender final : public netsim::PacketSink {
  public:
   /// `out` is the first element of the forward (data) path. ACKs arrive
   /// via receive().
-  TcpSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+  TcpSender(netsim::Simulator& sim, netsim::SackStore& sacks,
             TcpConfig cfg, netsim::FlowId flow, std::uint8_t dscp,
             netsim::PacketSink* out);
 
@@ -155,7 +155,7 @@ class TcpSender final : public netsim::PacketSink {
   }
 
   netsim::Simulator& sim_;
-  netsim::PacketIdSource& ids_;
+  netsim::SackStore& sacks_;
   TcpConfig cfg_;
   netsim::FlowId flow_;
   netsim::FlowId policer_key_ = 0;
@@ -250,7 +250,7 @@ class TcpReceiver final : public netsim::PacketSink {
  public:
   /// `ack_out` is the first element of the reverse (ACK) path back to the
   /// sender.
-  TcpReceiver(netsim::Simulator& sim, netsim::PacketIdSource& ids,
+  TcpReceiver(netsim::Simulator& sim, netsim::SackStore& sacks,
               TcpConfig cfg, netsim::FlowId flow,
               netsim::PacketSink* ack_out);
 
@@ -281,12 +281,12 @@ class TcpReceiver final : public netsim::PacketSink {
 
  private:
   netsim::Simulator& sim_;
-  netsim::PacketIdSource& ids_;
+  netsim::SackStore& sacks_;
   TcpConfig cfg_;
   netsim::FlowId flow_;
   netsim::PacketSink* ack_out_;
 
-  void fill_sack_blocks(netsim::Packet& ack) const;
+  void fill_sack_blocks(netsim::Packet& ack);
   void send_ack(Time now);
 
   std::uint64_t rcv_next_ = 0;

@@ -7,8 +7,7 @@ namespace wehey::transport {
 using netsim::Packet;
 using netsim::PacketKind;
 
-UdpReplaySender::UdpReplaySender(netsim::Simulator& sim,
-                                 netsim::PacketIdSource& ids, UdpConfig cfg,
+UdpReplaySender::UdpReplaySender(netsim::Simulator& sim, UdpConfig cfg,
                                  netsim::FlowId flow, std::uint8_t dscp,
                                  netsim::PacketSink* out,
                                  const trace::AppTrace& t, Time start,
@@ -21,7 +20,6 @@ UdpReplaySender::UdpReplaySender(netsim::Simulator& sim,
   for (const auto& tp : t.packets) {
     const Time at = start + tp.offset;
     Packet pkt;
-    pkt.id = ids.next();
     pkt.flow = flow;
     pkt.policer_key = policer_key;
     pkt.kind = PacketKind::Data;

@@ -29,8 +29,8 @@ class UdpReplaySender {
   /// already carry the desired timing discipline.
   /// `policer_key` (0: the flow id) is the key a per-flow rate-limiter
   /// classifies on; the §7 countermeasure gives both replays one key.
-  UdpReplaySender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
-                  UdpConfig cfg, netsim::FlowId flow, std::uint8_t dscp,
+  UdpReplaySender(netsim::Simulator& sim, UdpConfig cfg,
+                  netsim::FlowId flow, std::uint8_t dscp,
                   netsim::PacketSink* out, const trace::AppTrace& t,
                   Time start, netsim::FlowId policer_key = 0);
 

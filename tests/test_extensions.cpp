@@ -122,7 +122,7 @@ TEST(Coupling, InvalidOnShortInput) {
 TEST(Bbr, NoLossNoQueueOnCleanPath) {
   using namespace transport;
   netsim::Simulator sim;
-  netsim::PacketIdSource ids;
+  netsim::SackStore sacks;
   TcpConfig cfg;
   cfg.cc = CongestionControl::Bbr;
   auto demux = std::make_unique<netsim::Demux>();
@@ -130,8 +130,8 @@ TEST(Bbr, NoLossNoQueueOnCleanPath) {
       sim, mbps(10), milliseconds(15),
       std::make_unique<netsim::FifoDisc>(125000), demux.get());
   auto pipe = std::make_unique<netsim::Pipe>(sim, milliseconds(15));
-  TcpSender snd(sim, ids, cfg, 1, 0, link.get());
-  TcpReceiver rcv(sim, ids, cfg, 1, pipe.get());
+  TcpSender snd(sim, sacks, cfg, 1, 0, link.get());
+  TcpReceiver rcv(sim, sacks, cfg, 1, pipe.get());
   pipe->set_next(&snd);
   demux->add_route(1, &rcv);
   Time done = -1;
@@ -149,7 +149,7 @@ TEST(Bbr, NoLossNoQueueOnCleanPath) {
 TEST(Bbr, ConvergesToPolicerRate) {
   using namespace transport;
   netsim::Simulator sim;
-  netsim::PacketIdSource ids;
+  netsim::SackStore sacks;
   TcpConfig cfg;
   cfg.cc = CongestionControl::Bbr;
   auto demux = std::make_unique<netsim::Demux>();
@@ -161,8 +161,8 @@ TEST(Bbr, ConvergesToPolicerRate) {
                                                 std::move(tbf)),
       demux.get());
   auto pipe = std::make_unique<netsim::Pipe>(sim, milliseconds(15));
-  TcpSender snd(sim, ids, cfg, 1, netsim::kDscpDifferentiated, link.get());
-  TcpReceiver rcv(sim, ids, cfg, 1, pipe.get());
+  TcpSender snd(sim, sacks, cfg, 1, netsim::kDscpDifferentiated, link.get());
+  TcpReceiver rcv(sim, sacks, cfg, 1, pipe.get());
   pipe->set_next(&snd);
   demux->add_route(1, &rcv);
   snd.supply(20'000'000);

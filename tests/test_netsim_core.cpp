@@ -200,6 +200,14 @@ TEST(InplaceAction, OversizedCaptureFallsBackToHeap) {
   EXPECT_EQ(got, 7);
 }
 
+// Every event slot reserves kInlineCapacity bytes and the Link transmit
+// closure (`this` + Packet + Time) must fit in it, so both sizes are
+// pinned: a field added to Packet, or a wider slot, shows up here first.
+static_assert(sizeof(Packet) <= 64);
+static_assert(sizeof(InplaceAction) <= 96);
+static_assert(sizeof(void*) + sizeof(Packet) + sizeof(Time) <=
+              InplaceAction::kInlineCapacity);
+
 TEST(PacketRing, FifoOrderAcrossGrowthAndWraparound) {
   PacketRing ring;
   std::uint64_t next_push = 0, next_pop = 0;
@@ -207,16 +215,16 @@ TEST(PacketRing, FifoOrderAcrossGrowthAndWraparound) {
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 7; ++i) {
       auto p = make_packet(100);
-      p.id = next_push++;
+      p.seq = next_push++;
       ring.push_back(p);
     }
     for (int i = 0; i < 5 && !ring.empty(); ++i) {
-      ASSERT_EQ(ring.front().id, next_pop++);
+      ASSERT_EQ(ring.front().seq, next_pop++);
       ring.pop_front();
     }
   }
   while (!ring.empty()) {
-    ASSERT_EQ(ring.front().id, next_pop++);
+    ASSERT_EQ(ring.front().seq, next_pop++);
     ring.pop_front();
   }
   EXPECT_EQ(next_pop, next_push);

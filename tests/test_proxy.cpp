@@ -16,15 +16,15 @@ using netsim::Demux;
 using netsim::FifoDisc;
 using netsim::Link;
 using netsim::Pipe;
-using netsim::PacketIdSource;
 using netsim::RateLimiterDisc;
+using netsim::SackStore;
 using netsim::Simulator;
 using netsim::TbfDisc;
 
 /// origin --lossless link-- [proxy] --policer link-- client
 struct ProxiedPath {
   Simulator sim;
-  PacketIdSource ids;
+  SackStore sacks;
   TcpConfig cfg;
   Demux at_proxy;
   Demux at_client;
@@ -54,14 +54,14 @@ struct ProxiedPath {
     ack_to_origin = std::make_unique<Pipe>(sim, milliseconds(10));
     ack_to_proxy = std::make_unique<Pipe>(sim, milliseconds(10));
 
-    origin = std::make_unique<TcpSender>(sim, ids, cfg, /*flow=*/1,
+    origin = std::make_unique<TcpSender>(sim, sacks, cfg, /*flow=*/1,
                                          netsim::kDscpDifferentiated,
                                          upstream_link.get());
     proxy = std::make_unique<SplitTcpProxy>(
-        sim, ids, cfg, /*upstream_flow=*/1, /*downstream_flow=*/2,
+        sim, sacks, cfg, /*upstream_flow=*/1, /*downstream_flow=*/2,
         netsim::kDscpDifferentiated, ack_to_origin.get(),
         downstream_link.get());
-    client = std::make_unique<TcpReceiver>(sim, ids, cfg, /*flow=*/2,
+    client = std::make_unique<TcpReceiver>(sim, sacks, cfg, /*flow=*/2,
                                            ack_to_proxy.get());
     ack_to_origin->set_next(origin.get());
     ack_to_proxy->set_next(&proxy->downstream_ack_in());

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "netsim/link.hpp"
 #include "netsim/queue.hpp"
@@ -14,15 +15,17 @@ namespace {
 using netsim::Demux;
 using netsim::FifoDisc;
 using netsim::Link;
+using netsim::Packet;
+using netsim::PacketSink;
 using netsim::Pipe;
-using netsim::PacketIdSource;
 using netsim::RateLimiterDisc;
+using netsim::SackStore;
 using netsim::Simulator;
 using netsim::TbfDisc;
 
 struct Harness {
   Simulator sim;
-  PacketIdSource ids;
+  SackStore sacks;
   Demux demux;
   std::unique_ptr<Link> link;
   std::unique_ptr<Pipe> ack_pipe;
@@ -33,10 +36,10 @@ struct Harness {
           QuicConfig cfg = {}, std::uint8_t dscp = 0) {
     link = std::make_unique<Link>(sim, bw, one_way, std::move(disc), &demux);
     ack_pipe = std::make_unique<Pipe>(sim, one_way);
-    sender = std::make_unique<QuicSender>(sim, ids, cfg, 1, dscp,
+    sender = std::make_unique<QuicSender>(sim, sacks, cfg, 1, dscp,
                                           link.get());
     receiver =
-        std::make_unique<QuicReceiver>(sim, ids, cfg, 1, ack_pipe.get());
+        std::make_unique<QuicReceiver>(sim, sacks, cfg, 1, ack_pipe.get());
     ack_pipe->set_next(sender.get());
     demux.add_route(1, receiver.get());
   }
@@ -115,6 +118,46 @@ TEST(Quic, RttEstimateTracksPath) {
   h.sender->supply(300'000);
   h.sim.run(seconds(5));
   EXPECT_NEAR(to_milliseconds(h.sender->srtt()), 40.0, 6.0);
+}
+
+TEST(Quic, AckReportsSixteenHighestRangesHighestFirst) {
+  constexpr int kPackets = 40;
+  struct Capture final : PacketSink {
+    std::vector<Packet> packets;
+    void receive(Packet pkt) override { packets.push_back(pkt); }
+  };
+  QuicConfig cfg;
+  cfg.pacing = false;
+  cfg.initial_cwnd_packets = 2.0 * kPackets;
+  Simulator sim;
+  SackStore sacks;
+  Capture wire, acks;
+  QuicSender sender(sim, sacks, cfg, 1, 0, &wire);
+  QuicReceiver receiver(sim, sacks, cfg, 1, &acks);
+  sender.supply(std::int64_t{kPackets} * cfg.max_payload);
+  ASSERT_EQ(wire.packets.size(), static_cast<std::size_t>(kPackets));
+
+  // Deliver only the odd packet numbers: 20 ranges with a hole below each.
+  for (int i = 1; i < kPackets; i += 2) receiver.receive(wire.packets[i]);
+  ASSERT_EQ(acks.packets.size(), 20u);
+  for (std::size_t i = 0; i + 1 < acks.packets.size(); ++i) {
+    sacks.release(acks.packets[i].sack);
+  }
+  const Packet& last = acks.packets.back();
+  const netsim::SackList& list = sacks.at(last.sack);
+  ASSERT_EQ(list.used, netsim::kMaxSackBlocks);
+  for (int b = 0; b < list.used; ++b) {
+    const auto pn = static_cast<std::uint64_t>(kPackets - 1 - 2 * b);
+    EXPECT_EQ(list.blocks[b].start, pn) << "block " << b;
+    EXPECT_EQ(list.blocks[b].end, pn + 1) << "block " << b;
+  }
+
+  // At the sender: the 16 reported packets (9, 11, ..., 39) are acked;
+  // every other packet three or more below packet 39 is declared lost —
+  // the 19 even ones below 37 and the 4 odd ones the ACK left out.
+  sender.receive(last);
+  EXPECT_EQ(sender.packets_declared_lost(), 23u);
+  EXPECT_EQ(sacks.live(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // TCP sender/receiver: throughput, loss recovery, pacing, measurement.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
@@ -13,16 +15,20 @@ namespace {
 using netsim::Demux;
 using netsim::FifoDisc;
 using netsim::Link;
+using netsim::Packet;
+using netsim::PacketSink;
 using netsim::Pipe;
-using netsim::PacketIdSource;
 using netsim::RateLimiterDisc;
+using netsim::SackHandle;
+using netsim::SackList;
+using netsim::SackStore;
 using netsim::Simulator;
 using netsim::TbfDisc;
 
 /// One TCP flow over a single bottleneck link with an ideal reverse path.
 struct Harness {
   Simulator sim;
-  PacketIdSource ids;
+  SackStore sacks;
   std::unique_ptr<Demux> demux = std::make_unique<Demux>();
   std::unique_ptr<Link> link;
   std::unique_ptr<Pipe> ack_pipe;
@@ -34,9 +40,9 @@ struct Harness {
     link = std::make_unique<Link>(sim, bw, one_way, std::move(disc),
                                   demux.get());
     ack_pipe = std::make_unique<Pipe>(sim, one_way);
-    sender = std::make_unique<TcpSender>(sim, ids, cfg, 1, dscp, link.get());
+    sender = std::make_unique<TcpSender>(sim, sacks, cfg, 1, dscp, link.get());
     receiver =
-        std::make_unique<TcpReceiver>(sim, ids, cfg, 1, ack_pipe.get());
+        std::make_unique<TcpReceiver>(sim, sacks, cfg, 1, ack_pipe.get());
     ack_pipe->set_next(sender.get());
     demux->add_route(1, receiver.get());
   }
@@ -248,6 +254,148 @@ TEST(Tcp, DelayedAckTimerFlushesTail) {
   h.sim.run(seconds(5));
   EXPECT_TRUE(h.sender->complete());
   EXPECT_EQ(h.receiver->acks_sent(), 1u);
+}
+
+/// Keeps every packet it receives.
+struct Capture final : PacketSink {
+  std::vector<Packet> packets;
+  void receive(Packet pkt) override { packets.push_back(pkt); }
+};
+
+/// Calls `on_packet` on each packet, then forwards it to `next`.
+struct Tap final : PacketSink {
+  std::function<void(const Packet&)> on_packet;
+  PacketSink* next = nullptr;
+  void receive(Packet pkt) override {
+    on_packet(pkt);
+    next->receive(pkt);
+  }
+};
+
+/// A sender config that puts `segments` full segments on the wire at once
+/// on supply(): no pacing, and a window larger than the burst.
+TcpConfig burst_config(int segments) {
+  TcpConfig cfg;
+  cfg.pacing = false;
+  cfg.initial_cwnd_segments = 2.0 * segments;
+  return cfg;
+}
+
+TEST(Tcp, SackReportsSixteenHighestRangesHighestFirst) {
+  constexpr int kSegments = 40;
+  const TcpConfig cfg = burst_config(kSegments);
+  Simulator sim;
+  SackStore sacks;
+  Capture wire, acks;
+  TcpSender sender(sim, sacks, cfg, 1, 0, &wire);
+  TcpReceiver receiver(sim, sacks, cfg, 1, &acks);
+  sender.supply(std::int64_t{kSegments} * cfg.mss);
+  ASSERT_EQ(wire.packets.size(), static_cast<std::size_t>(kSegments));
+
+  // Deliver only the odd segments: 20 holes, 20 out-of-order ranges.
+  for (int i = 1; i < kSegments; i += 2) receiver.receive(wire.packets[i]);
+  ASSERT_EQ(acks.packets.size(), 20u);
+  // Only the last ACK goes on to the sender; retire the others' lists.
+  for (std::size_t i = 0; i + 1 < acks.packets.size(); ++i) {
+    ASSERT_NE(acks.packets[i].sack, netsim::kNoSack);
+    sacks.release(acks.packets[i].sack);
+  }
+  const Packet& last = acks.packets.back();
+  ASSERT_NE(last.sack, netsim::kNoSack);
+  const SackList& list = sacks.at(last.sack);
+  ASSERT_EQ(list.used, netsim::kMaxSackBlocks);
+  for (int b = 0; b < list.used; ++b) {
+    const auto seq =
+        static_cast<std::uint64_t>(kSegments - 1 - 2 * b) * cfg.mss;
+    EXPECT_EQ(list.blocks[b].start, seq) << "block " << b;
+    EXPECT_EQ(list.blocks[b].end, seq + cfg.mss) << "block " << b;
+  }
+
+  sender.receive(last);
+  EXPECT_EQ(sender.sacked_bytes(),
+            std::int64_t{netsim::kMaxSackBlocks} * cfg.mss);
+  EXPECT_EQ(sacks.live(), 0u);
+}
+
+TEST(Tcp, InOrderAcksCarryNoSackList) {
+  Harness h(mbps(100), milliseconds(10),
+            std::make_unique<FifoDisc>(2'000'000));
+  h.sender->supply(500'000);
+  h.sim.run(seconds(10));
+  ASSERT_TRUE(h.sender->complete());
+  ASSERT_EQ(h.sender->retransmissions(), 0u);
+  EXPECT_EQ(h.sacks.slots(), 0u);
+}
+
+TEST(Tcp, SackStoreHoldsOnlyTheAcksInFlight) {
+  // A lossy 2,000-segment transfer: the SACK store's high-water mark stays
+  // at the SACK-carrying ACKs simultaneously on the reverse path, however
+  // many such ACKs the transfer sends.
+  const TcpConfig cfg;
+  Simulator sim;
+  SackStore sacks;
+  Demux demux;
+  Link link(sim, mbps(10), milliseconds(15), std::make_unique<FifoDisc>(15'000),
+            &demux);
+  Tap into_pipe, out_of_pipe;
+  Pipe ack_pipe(sim, milliseconds(15), &out_of_pipe);
+  TcpSender sender(sim, sacks, cfg, 1, 0, &link);
+  TcpReceiver receiver(sim, sacks, cfg, 1, &into_pipe);
+  demux.add_route(1, &receiver);
+
+  std::uint64_t sack_acks = 0;
+  std::uint64_t in_flight = 0;
+  std::uint64_t peak_in_flight = 0;
+  into_pipe.next = &ack_pipe;
+  into_pipe.on_packet = [&](const Packet& p) {
+    if (p.sack == netsim::kNoSack) return;
+    ++sack_acks;
+    peak_in_flight = std::max(peak_in_flight, ++in_flight);
+  };
+  out_of_pipe.next = &sender;
+  out_of_pipe.on_packet = [&](const Packet& p) {
+    if (p.sack != netsim::kNoSack) --in_flight;
+  };
+
+  sender.supply(std::int64_t{2000} * cfg.mss);
+  sim.run(seconds(120));
+  ASSERT_TRUE(sender.complete());
+  EXPECT_GT(sender.retransmissions(), 0u);
+  EXPECT_GT(sack_acks, 10 * peak_in_flight);
+  EXPECT_LE(sacks.slots(), peak_in_flight);
+  EXPECT_EQ(sacks.live(), 0u);
+}
+
+TEST(TcpDeathTest, StaleOrUnknownSackHandleAborts) {
+  SackStore sacks;
+  const SackHandle h = sacks.acquire();
+  sacks.release(h);
+  EXPECT_DEATH((void)sacks.at(h), "Precondition failed");
+  EXPECT_DEATH(sacks.release(h), "Precondition failed");
+  EXPECT_DEATH((void)sacks.at(netsim::kNoSack), "Precondition failed");
+  EXPECT_DEATH((void)sacks.at(h + 1), "Precondition failed");  // never acquired
+  // The slot is recycled under a new generation: the old handle stays dead.
+  const SackHandle reacquired = sacks.acquire();
+  EXPECT_EQ(sacks.slots(), 1u);
+  EXPECT_NE(reacquired, h);
+  EXPECT_DEATH((void)sacks.at(h), "Precondition failed");
+  sacks.release(reacquired);
+}
+
+TEST(TcpDeathTest, AckDeliveredTwiceAbortsAtTheSender) {
+  const TcpConfig cfg = burst_config(3);
+  Simulator sim;
+  SackStore sacks;
+  Capture wire, acks;
+  TcpSender sender(sim, sacks, cfg, 1, 0, &wire);
+  TcpReceiver receiver(sim, sacks, cfg, 1, &acks);
+  sender.supply(std::int64_t{3} * cfg.mss);
+  ASSERT_EQ(wire.packets.size(), 3u);
+  receiver.receive(wire.packets[1]);  // out of order: the ACK carries SACK
+  ASSERT_EQ(acks.packets.size(), 1u);
+  ASSERT_NE(acks.packets[0].sack, netsim::kNoSack);
+  sender.receive(acks.packets[0]);
+  EXPECT_DEATH(sender.receive(acks.packets[0]), "Precondition failed");
 }
 
 // Sweep: bulk transfers across bandwidths complete with sane utilization.

@@ -14,7 +14,6 @@ namespace {
 using netsim::Demux;
 using netsim::FifoDisc;
 using netsim::Link;
-using netsim::PacketIdSource;
 using netsim::RateLimiterDisc;
 using netsim::Simulator;
 using netsim::TbfDisc;
@@ -30,14 +29,13 @@ trace::AppTrace cbr_trace(int packets, std::uint32_t size, Time gap) {
 
 TEST(UdpReplay, DeliversAllOnCleanPath) {
   Simulator sim;
-  PacketIdSource ids;
   Demux demux;
   Link link(sim, mbps(100), milliseconds(10),
             std::make_unique<FifoDisc>(0), &demux);
   UdpReplayReceiver rx(sim);
   demux.add_route(1, &rx);
   const auto t = cbr_trace(100, 1000, milliseconds(10));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, 0);
+  UdpReplaySender tx(sim, UdpConfig{}, 1, 0, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
   EXPECT_EQ(rx.received_packets(), 100u);
@@ -48,14 +46,13 @@ TEST(UdpReplay, DeliversAllOnCleanPath) {
 
 TEST(UdpReplay, TimingFollowsTrace) {
   Simulator sim;
-  PacketIdSource ids;
   Demux demux;
   Link link(sim, kGbps, milliseconds(5), std::make_unique<FifoDisc>(0),
             &demux);
   UdpReplayReceiver rx(sim);
   demux.add_route(1, &rx);
   const auto t = cbr_trace(10, 500, milliseconds(20));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, seconds(1));
+  UdpReplaySender tx(sim, UdpConfig{}, 1, 0, &link, t, seconds(1));
   sim.run();
   ASSERT_EQ(rx.deliveries().size(), 10u);
   // First packet: sent at 1 s, arrives after ~5 ms propagation.
@@ -65,7 +62,6 @@ TEST(UdpReplay, TimingFollowsTrace) {
 
 TEST(UdpReplay, DetectsLossFromGaps) {
   Simulator sim;
-  PacketIdSource ids;
   Demux demux;
   // Policer that passes ~half the offered rate.
   auto fifo = std::make_unique<FifoDisc>(0);
@@ -77,7 +73,7 @@ TEST(UdpReplay, DetectsLossFromGaps) {
   demux.add_route(1, &rx);
   // 100 kB/s = 800 kbps offered against 400 kbps policed.
   const auto t = cbr_trace(500, 1000, milliseconds(10));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1,
+  UdpReplaySender tx(sim, UdpConfig{}, 1,
                      netsim::kDscpDifferentiated, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
@@ -98,14 +94,13 @@ TEST(UdpReplay, FinalizeAccountsTailLosses) {
 
 TEST(UdpReplay, MeasurementAssembly) {
   Simulator sim;
-  PacketIdSource ids;
   Demux demux;
   Link link(sim, mbps(100), milliseconds(10),
             std::make_unique<FifoDisc>(0), &demux);
   UdpReplayReceiver rx(sim);
   demux.add_route(1, &rx);
   const auto t = cbr_trace(50, 1200, milliseconds(10));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, 0);
+  UdpReplaySender tx(sim, UdpConfig{}, 1, 0, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
   const auto m = udp_measurement(tx, rx);
@@ -121,7 +116,6 @@ TEST(UdpReplay, MeasurementAssembly) {
 
 TEST(UdpReplay, PoissonTraceStillDeliversEverything) {
   Simulator sim;
-  PacketIdSource ids;
   Rng rng(5);
   Demux demux;
   Link link(sim, mbps(100), milliseconds(10),
@@ -130,7 +124,7 @@ TEST(UdpReplay, PoissonTraceStillDeliversEverything) {
   demux.add_route(1, &rx);
   auto t = cbr_trace(200, 800, milliseconds(5));
   t = trace::poissonize(t, rng);
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, 0);
+  UdpReplaySender tx(sim, UdpConfig{}, 1, 0, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
   EXPECT_EQ(rx.received_packets(), 200u);
