@@ -85,18 +85,8 @@ int main() {
         if (plan.has_value()) r.fault_plan = plan->name;
         r.verdict = res.outcome.loss_trend ? "common bottleneck detected"
                                            : "no common bottleneck";
-        std::vector<obs::ProfileSpan> spans;
-        const char* phase_names[] = {"sim_original", "sim_inverted"};
-        const Time durations[] = {res.outcome.original_duration,
-                                  res.outcome.inverted_duration};
-        for (std::int64_t p = 0; p < 2; ++p) {
-          r.add_stage(phase_names[p], 0, durations[p]);
-          spans.push_back({p, phase_names[p], 0, durations[p]});
-          spans.push_back({p, "replay_window", 0,
-                           std::min(configs[i].replay_duration,
-                                    durations[p])});
-        }
-        r.profile = obs::profile_from_spans(std::move(spans));
+        r.add_stage("sim_original", 0, res.outcome.original_duration);
+        r.add_stage("sim_inverted", 0, res.outcome.inverted_duration);
         r.values["wehe_detected"] = res.outcome.wehe_detected ? 1.0 : 0.0;
         r.values["loss_trend"] = res.outcome.loss_trend ? 1.0 : 0.0;
         r.values["tomo_no_params"] =

@@ -9,7 +9,7 @@
 //   wehey_cli sweep    [--app NAME] [--runs N] [--fp]
 //                      [--checkpoint PATH] [--out PATH]
 //                      (with --checkpoint/--out: full experiments ->
-//                      sweep_report.v1, one flushed journal line per
+//                      sweep_report.v2, one flushed journal line per
 //                      completed run; an existing journal is resumed:
 //                      journaled runs are skipped and the uninterrupted
 //                      bytes reproduced)
@@ -17,12 +17,12 @@
 //   wehey_cli full     [--app NAME] [--seed N] [--out PATH] [--faults NAME]
 //                      (full 4-phase experiment -> RunReport; JSON to
 //                      stdout when no --out/WEHEY_REPORT destination)
-//   wehey_cli inspect  FILE...   (render report/sweep/trace JSON as tables)
+//   wehey_cli inspect  FILE...   (render run/sweep reports and checkpoint
+//                                journals as tables)
 //   wehey_cli merge    FILE... [--out PATH] [--name SWEEP]
-//                      (offline per-run reports -> one sweep_report.v1)
+//                      (offline per-run reports -> one sweep_report.v2)
 //   wehey_cli compare  BASELINE CANDIDATE [--tol X] [--tol-key RE=X]...
-//                      [--ignore RE]... [--min-key RE=X]...
-//                      [--require-key RE]...
+//                      [--min-key RE=X]... [--require-key RE]...
 //                      (regression gate: nonzero exit on drift)
 //
 // Every command but inspect, merge and compare runs under
@@ -186,8 +186,8 @@ int cmd_wild(const Args& args) {
                 static_cast<unsigned long long>(plan->seed));
   }
   const auto t_diff = build_wild_t_diff(cfg, 12);
-  // The reported runner fills the report (stages, self-time profile,
-  // verdict, injection) and absorbs its metrics into the CLI recorder.
+  // The reported runner fills the report (stages, verdict, injection)
+  // and absorbs its metrics into the CLI recorder.
   const auto res = run_wild_test_reported(cfg, t_diff,
                                           /*sanity_check=*/args.has("sanity"),
                                           "wehey_cli_wild");
@@ -389,7 +389,7 @@ bool load_run_report(const std::string& path, obs::JsonValue& doc) {
 }
 
 /// Offline sweep aggregation: per-run report files in, one
-/// wehey.sweep_report.v1 out. Byte-identical to the in-process sweep the
+/// wehey.sweep_report.v2 out. Byte-identical to the in-process sweep the
 /// emitting binary writes under WEHEY_REPORT_MODE=sweep over the same
 /// runs — CI diffs the two.
 int cmd_merge(int argc, char** argv) {
@@ -482,8 +482,6 @@ int cmd_compare(int argc, char** argv) {
         return 2;
       }
       opts.key_tolerances.emplace_back(key, value);
-    } else if (a == "--ignore" && i + 1 < argc) {
-      opts.ignore.emplace_back(argv[++i]);
     } else if (a == "--min-key" && i + 1 < argc) {
       if (!split_key_value(argv[++i], key, value)) {
         std::fprintf(stderr,
@@ -532,8 +530,8 @@ int cmd_compare(int argc, char** argv) {
   if (files.size() != 2) {
     std::fprintf(stderr,
                  "usage: wehey_cli compare BASELINE CANDIDATE [--tol X] "
-                 "[--tol-key RE=X]... [--ignore RE]... [--min-key "
-                 "RE=X]... [--require-key RE]... [--list-keys]\n");
+                 "[--tol-key RE=X]... [--min-key RE=X]... "
+                 "[--require-key RE]... [--list-keys]\n");
     return 2;
   }
   obs::JsonValue docs[2];
@@ -584,7 +582,7 @@ int main(int argc, char** argv) {
     if (argc < 3) {
       std::fprintf(stderr,
                    "usage: wehey_cli inspect "
-                   "<report.json|sweep.json|trace.json>...\n");
+                   "<report.json|sweep.json|journal.jsonl>...\n");
       return 2;
     }
     int rc = 0;
@@ -608,9 +606,9 @@ int main(int argc, char** argv) {
   }
   const Args args(argc, argv, 2);
   // The harness binds the recorder for the whole command and, on return,
-  // writes the trace, the runtime sidecar and — for wild and session — the
-  // command's run report. full and sweep write their own documents, the
-  // other commands emit none.
+  // writes the trace and — for wild and session — the command's run
+  // report. full and sweep write their own documents, the other commands
+  // emit none.
   obs::ObservedSweep harness(
       "wehey_cli_" + cmd, cmd == "sweep" ? args.get("checkpoint", "") : "");
   if (cmd != "wild" && cmd != "session") harness.report().run.clear();

@@ -389,22 +389,12 @@ FullExperimentResult run_full_experiment_reported(
   faults::InjectionStats injection;
   std::uint64_t limiter_drops = 0;
   int phases_faulted = 0;
-  std::vector<obs::ProfileSpan> spans;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     r.add_stage(phase_name(kFullPhases[i]), 0, reports[i].sim_duration);
-    // v3 profile: each phase on its own track (all start at sim time 0)
-    // with the replay window as a child span, so the phase's self time
-    // is the post-replay drain.
-    const std::int64_t track = static_cast<std::int64_t>(i);
-    spans.push_back(
-        {track, phase_name(kFullPhases[i]), 0, reports[i].sim_duration});
-    spans.push_back({track, "replay_window", 0,
-                     std::min(cfg.replay_duration, reports[i].sim_duration)});
     injection += reports[i].injection;
     limiter_drops += reports[i].limiter_drops;
     if (reports[i].faulted) ++phases_faulted;
   }
-  r.profile = obs::profile_from_spans(std::move(spans));
   for (const auto& [kind, count] : injection.by_kind()) {
     r.injection[kind] = count;
   }

@@ -369,18 +369,9 @@ WildTestResult run_wild_test_reported(const WildConfig& cfg,
       obs::classify_audit(r.ground_truth, observed_positive,
                           mechanism_mismatch, out.outcome.budget_exhausted,
                           r.decision);
-  std::vector<obs::ProfileSpan> spans;
   for (std::size_t i = 0; i < phases.size(); ++i) {
-    const char* name = wild_phase_name(kWildPhases[i]);
-    r.add_stage(name, 0, phases[i].sim_duration);
-    // Each phase on its own track (they all start at sim time 0); the
-    // replay window is its child, so the phase's self time is the drain.
-    const std::int64_t track = static_cast<std::int64_t>(i);
-    spans.push_back({track, name, 0, phases[i].sim_duration});
-    spans.push_back({track, "replay_window", 0,
-                     std::min(cfg.replay_duration, phases[i].sim_duration)});
+    r.add_stage(wild_phase_name(kWildPhases[i]), 0, phases[i].sim_duration);
   }
-  r.profile = obs::profile_from_spans(std::move(spans));
   for (const auto& [kind, count] : out.outcome.injection.by_kind()) {
     r.injection[kind] = count;
   }

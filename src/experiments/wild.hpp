@@ -93,9 +93,9 @@ WildTestOutcome run_wild_sanity_check(const WildConfig& cfg,
                                       const std::vector<double>& t_diff);
 
 /// run_wild_test / run_wild_sanity_check with the run packaged as a
-/// versioned RunReport (stages = the four wild phases, profile with
-/// replay-window self times, per-kind injection, scalar values) plus the
-/// phases' merged metrics registries.
+/// versioned RunReport (stages = the four wild phases' sim durations,
+/// per-kind injection, scalar values) plus the phases' merged metrics
+/// registries.
 struct WildTestResult {
   WildTestOutcome outcome;
   obs::RunReport report;

@@ -90,15 +90,6 @@ void SweepAggregator::absorb_stage(const std::string& name, double sim_ms) {
   stages_[name].values.push_back(sim_ms);
 }
 
-void SweepAggregator::absorb_profile(const std::string& name,
-                                     std::uint64_t count, double sim_ms,
-                                     double self_sim_ms) {
-  ProfileAgg& p = profile_[name];
-  p.spans += count;
-  p.sim_ms.values.push_back(sim_ms);
-  p.self_sim_ms.values.push_back(self_sim_ms);
-}
-
 void SweepAggregator::absorb_histogram(const std::string& name, double lo,
                                        double hi, std::uint64_t count,
                                        double sum, double min, double max,
@@ -197,19 +188,6 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
         return fail("malformed stages entry");
       }
       absorb_stage(name->str, sim_ms->number);
-    }
-  }
-  if (const JsonValue* profile = doc.find("profile");
-      profile != nullptr && profile->type == JsonValue::Type::Object) {
-    for (const auto& [name, p] : profile->object) {
-      const JsonValue* count = p.find("count");
-      const JsonValue* sim_ms = p.find("sim_ms");
-      const JsonValue* self_ms = p.find("self_sim_ms");
-      if (count == nullptr || sim_ms == nullptr || self_ms == nullptr) {
-        return fail("malformed profile entry '" + name + "'");
-      }
-      absorb_profile(name, static_cast<std::uint64_t>(count->num_or(0.0)),
-                     sim_ms->num_or(0.0), self_ms->num_or(0.0));
     }
   }
   if (const JsonValue* counters = metrics->find("counters");
@@ -327,19 +305,6 @@ std::string SweepAggregator::to_json() const {
   for (const auto& [name, s] : stages_) {
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": ";
     emit_summary(out, s.values);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n";
-
-  out << "  \"profile\": {";
-  first = true;
-  for (const auto& [name, p] : profile_) {
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-        << "\": {\"spans\": " << p.spans << ", \"sim_ms\": ";
-    emit_summary(out, p.sim_ms.values);
-    out << ", \"self_sim_ms\": ";
-    emit_summary(out, p.self_sim_ms.values);
-    out << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n";
@@ -594,14 +559,6 @@ void flatten(const JsonValue& v, const std::string& path,
   }
 }
 
-bool any_match(const std::vector<std::string>& patterns,
-               const std::string& key) {
-  for (const auto& p : patterns) {
-    if (std::regex_search(key, std::regex(p))) return true;
-  }
-  return false;
-}
-
 std::string type_name(JsonValue::Type t) {
   switch (t) {
     case JsonValue::Type::Null: return "null";
@@ -641,7 +598,6 @@ CompareResult compare_reports(const JsonValue& baseline,
   };
 
   for (const auto& [key, b] : base) {
-    if (any_match(options.ignore, key)) continue;
     const auto it = cand.find(key);
     if (it == cand.end()) {
       result.failures.push_back("missing in candidate: " + key);
@@ -684,7 +640,7 @@ CompareResult compare_reports(const JsonValue& baseline,
     }
   }
   for (const auto& [key, c] : cand) {
-    if (base.count(key) != 0 || any_match(options.ignore, key)) continue;
+    if (base.count(key) != 0) continue;
     result.notes.push_back("new key (not in baseline): " + key);
   }
   for (const auto& [pattern, floor] : options.min_keys) {
@@ -705,9 +661,9 @@ CompareResult compare_reports(const JsonValue& baseline,
       result.failures.push_back("min-key pattern matched nothing: " + pattern);
     }
   }
-  // Existence gates: deliberately checked against *all* candidate keys,
-  // including ignored ones — "this section exists" and "this section's
-  // numbers drift" are independent assertions.
+  // Existence gates: checked against *all* candidate keys of any type —
+  // "this section exists" and "this section's numbers drift" are
+  // independent assertions.
   for (const auto& pattern : options.require_keys) {
     const std::regex re(pattern);
     bool matched = false;

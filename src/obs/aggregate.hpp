@@ -1,9 +1,9 @@
 // SweepAggregator: deterministic merge of per-run RunReports into one
-// "wehey.sweep_report.v1" JSON document — the sweep-scale counterpart of
+// "wehey.sweep_report.v2" JSON document — the sweep-scale counterpart of
 // MetricsRegistry::merge.
 //
 //   {
-//     "schema": "wehey.sweep_report.v1",
+//     "schema": "wehey.sweep_report.v2",
 //     "sweep": "<bench or pipeline name>",
 //     "runs": N,
 //     "fault_plans": {"(none)": N, "replay-abort": N, ...},
@@ -13,8 +13,6 @@
 //     "values": {"<name>": {"count", "min", "max", "mean", "sum",
 //                            "p50", "p90", "p99"}, ...},
 //     "stages": {"<stage>": {<same summary over per-run sim_ms>}, ...},
-//     "profile": {"<stage>": {"spans": N, "sim_ms": {<summary>},
-//                              "self_sim_ms": {<summary>}}, ...},
 //     "cells": {"<cell>": {"runs": N, "verdicts": {...},
 //                           "values": {<name>: <summary>}}, ...},
 //     "quarantine": {"threshold": N, "cells": {"<cell>":
@@ -97,12 +95,6 @@ class SweepAggregator {
     std::vector<double> values;
   };
 
-  struct ProfileAgg {
-    std::uint64_t spans = 0;
-    Samples sim_ms;
-    Samples self_sim_ms;
-  };
-
   struct GaugeAgg {
     bool seen = false;
     double min = 0.0;
@@ -121,9 +113,9 @@ class SweepAggregator {
     Samples run_sums;  ///< one entry per contributing non-empty run
   };
 
-  /// Confusion-matrix counts folded from per-run "audit" sections
-  /// (RunReport v5). Purely integer tallies, so the fold is associative
-  /// and the rendered ratios are a function of the absorbed run set.
+  /// Confusion-matrix counts folded from per-run "audit" sections.
+  /// Purely integer tallies, so the fold is associative and the rendered
+  /// ratios are a function of the absorbed run set.
   struct AuditTally {
     std::uint64_t tp = 0;
     std::uint64_t fp = 0;
@@ -154,8 +146,6 @@ class SweepAggregator {
   void absorb_value(const std::string& cell, const std::string& name,
                     double v);
   void absorb_stage(const std::string& name, double sim_ms);
-  void absorb_profile(const std::string& name, std::uint64_t count,
-                      double sim_ms, double self_sim_ms);
   void absorb_histogram(const std::string& name, double lo, double hi,
                         std::uint64_t count, double sum, double min,
                         double max, const std::vector<std::uint64_t>& bins);
@@ -169,14 +159,13 @@ class SweepAggregator {
   AuditTally audit_;
   std::map<std::string, Samples> values_;
   std::map<std::string, Samples> stages_;
-  std::map<std::string, ProfileAgg> profile_;
   std::map<std::string, CellAgg> cells_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, GaugeAgg> gauges_;
   std::map<std::string, HistAgg> histograms_;
 };
 
-/// True when `doc` looks like a wehey.sweep_report.v1 document.
+/// True when `doc` looks like a wehey.sweep_report.v2 document.
 bool is_sweep_report(const JsonValue& doc);
 
 // ---------------------------------------------------------------------------
@@ -190,9 +179,6 @@ struct CompareOptions {
   /// Per-key overrides: first regex (std::regex, searched against the
   /// dotted key path) that matches wins.
   std::vector<std::pair<std::string, double>> key_tolerances;
-  /// Key paths (regex) excluded from comparison entirely — wall-clock
-  /// seconds, host-dependent throughput numbers, ...
-  std::vector<std::string> ignore;
   /// Floors: the candidate value at every key matching the regex must be
   /// >= the given bound (used for accuracy and stability gates,
   /// independent of the baseline value).
@@ -200,7 +186,7 @@ struct CompareOptions {
   /// Existence assertions: each regex must match at least one flattened
   /// candidate key (of any type) or the comparison fails. Guards CI gates
   /// against a renamed/removed section silently turning the gate into a
-  /// no-op; ignored keys still count as matches.
+  /// no-op.
   std::vector<std::string> require_keys;
 };
 

@@ -1,7 +1,5 @@
 #include "obs/inspect.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -227,11 +225,6 @@ bool is_run_report(const JsonValue& doc) {
          schema->str == kRunReportSchema;
 }
 
-bool is_chrome_trace(const JsonValue& doc) {
-  const JsonValue* events = doc.find("traceEvents");
-  return events != nullptr && events->type == JsonValue::Type::Array;
-}
-
 // ---------------------------------------------------------- report render
 
 namespace {
@@ -415,13 +408,8 @@ void render_report(const JsonValue& doc, std::FILE* out) {
     print_rule(out, "stages (sim time)");
     for (const auto& st : stages->array) {
       const JsonValue* ms = st.find("sim_ms");
-      const JsonValue* wall = st.find("wall_ms");
-      std::fprintf(out, "  %-24s %12.3f ms", str_or(st, "name"),
+      std::fprintf(out, "  %-24s %12.3f ms\n", str_or(st, "name"),
                    ms != nullptr ? ms->num_or(0) : 0.0);
-      if (wall != nullptr) {
-        std::fprintf(out, "  (wall %.3f ms)", wall->num_or(0));
-      }
-      std::fputc('\n', out);
     }
   }
 
@@ -490,34 +478,6 @@ void render_report(const JsonValue& doc, std::FILE* out) {
     }
   }
 
-  const JsonValue* profile = doc.find("profile");
-  if (profile != nullptr && !profile->object.empty()) {
-    print_rule(out, "stage profile (sim time, self = minus children)");
-    std::fprintf(out, "  %-24s %6s %12s %12s %12s %12s\n", "stage", "count",
-                 "sim ms", "self ms", "wall ms", "self wall");
-    for (const auto& [name, e] : profile->object) {
-      const JsonValue* wall = e.find("wall_ms");
-      const JsonValue* self_wall = e.find("self_wall_ms");
-      std::fprintf(out, "  %-24s %6.0f %12.3f %12.3f",
-                   name.c_str(),
-                   e.find("count") ? e.find("count")->num_or(0) : 0.0,
-                   e.find("sim_ms") ? e.find("sim_ms")->num_or(0) : 0.0,
-                   e.find("self_sim_ms") ? e.find("self_sim_ms")->num_or(0)
-                                         : 0.0);
-      if (wall != nullptr) {
-        std::fprintf(out, " %12.3f", wall->num_or(0));
-      } else {
-        std::fprintf(out, " %12s", "-");
-      }
-      if (self_wall != nullptr) {
-        std::fprintf(out, " %12.3f", self_wall->num_or(0));
-      } else {
-        std::fprintf(out, " %12s", "-");
-      }
-      std::fputc('\n', out);
-    }
-  }
-
   const JsonValue* injection = doc.find("injection");
   if (injection != nullptr && !injection->object.empty()) {
     print_rule(out, "fault injection");
@@ -579,24 +539,6 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
     print_summary_header(out, "stage", 24);
     for (const auto& [name, s] : stages->object) {
       print_summary_row(out, name, s, 24);
-    }
-  }
-
-  const JsonValue* profile = doc.find("profile");
-  if (profile != nullptr && !profile->object.empty()) {
-    print_rule(out, "stage profile (self sim ms across runs)");
-    std::fprintf(out, "  %-24s %6s %11s %11s %11s %11s\n", "stage", "spans",
-                 "self mean", "self p50", "self p90", "self max");
-    for (const auto& [name, e] : profile->object) {
-      const JsonValue* self = e.find("self_sim_ms");
-      const auto field = [&self](const char* key) {
-        const JsonValue* v = self != nullptr ? self->find(key) : nullptr;
-        return v != nullptr ? v->num_or(0) : 0.0;
-      };
-      std::fprintf(out, "  %-24s %6.0f %11.4g %11.4g %11.4g %11.4g\n",
-                   name.c_str(),
-                   e.find("spans") ? e.find("spans")->num_or(0) : 0.0,
-                   field("mean"), field("p50"), field("p90"), field("max"));
     }
   }
 
@@ -730,88 +672,6 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
   }
 }
 
-// ----------------------------------------------------------- trace render
-
-void render_trace(const JsonValue& doc, std::FILE* out) {
-  const JsonValue* events = doc.find("traceEvents");
-  if (events == nullptr) return;
-
-  struct SpanStats {
-    std::vector<double> durs_us;
-    double total_us = 0;
-  };
-  std::map<std::string, SpanStats> spans;
-  std::map<std::string, std::size_t> instants;
-  struct CounterStats {
-    std::size_t samples = 0;
-    double min = 0, max = 0, last = 0;
-  };
-  std::map<std::string, CounterStats> counters;
-  std::size_t total = 0;
-
-  for (const auto& ev : events->array) {
-    const char* ph = str_or(ev, "ph");
-    const char* name = str_or(ev, "name");
-    if (std::strcmp(ph, "M") == 0) continue;  // metadata
-    ++total;
-    if (std::strcmp(ph, "X") == 0) {
-      const double dur = ev.find("dur") ? ev.find("dur")->num_or(0) : 0;
-      auto& s = spans[name];
-      s.durs_us.push_back(dur);
-      s.total_us += dur;
-    } else if (std::strcmp(ph, "C") == 0) {
-      const JsonValue* args = ev.find("args");
-      const double v = args != nullptr && args->find("value") != nullptr
-                           ? args->find("value")->num_or(0)
-                           : 0;
-      auto& c = counters[name];
-      if (c.samples == 0 || v < c.min) c.min = v;
-      if (c.samples == 0 || v > c.max) c.max = v;
-      c.last = v;
-      ++c.samples;
-    } else {
-      ++instants[name];
-    }
-  }
-
-  std::fprintf(out, "trace  %zu events\n", total);
-
-  if (!spans.empty()) {
-    print_rule(out, "stage latency (span durations, sim ms)");
-    std::fprintf(out, "  %-28s %8s %10s %10s %10s %10s\n", "span", "count",
-                 "p50", "p90", "p99", "total");
-    for (auto& [name, s] : spans) {
-      std::sort(s.durs_us.begin(), s.durs_us.end());
-      const auto pct = [&s](double q) {
-        const std::size_t n = s.durs_us.size();
-        std::size_t idx = static_cast<std::size_t>(q * (n - 1) + 0.5);
-        if (idx >= n) idx = n - 1;
-        return s.durs_us[idx] / 1000.0;  // us -> ms
-      };
-      std::fprintf(out, "  %-28s %8zu %10.4g %10.4g %10.4g %10.4g\n",
-                   name.c_str(), s.durs_us.size(), pct(0.5), pct(0.9),
-                   pct(0.99), s.total_us / 1000.0);
-    }
-  }
-
-  if (!counters.empty()) {
-    print_rule(out, "counter series");
-    std::fprintf(out, "  %-28s %8s %10s %10s %10s\n", "series", "samples",
-                 "min", "max", "last");
-    for (const auto& [name, c] : counters) {
-      std::fprintf(out, "  %-28s %8zu %10.4g %10.4g %10.4g\n", name.c_str(),
-                   c.samples, c.min, c.max, c.last);
-    }
-  }
-
-  if (!instants.empty()) {
-    print_rule(out, "instant events");
-    for (const auto& [name, n] : instants) {
-      std::fprintf(out, "  %-28s %8zu\n", name.c_str(), n);
-    }
-  }
-}
-
 namespace {
 
 /// Render a wehey.sweep_checkpoint.v1 JSONL journal: completed-run count
@@ -875,10 +735,6 @@ bool inspect_file(const std::string& path, std::FILE* out) {
     render_sweep(doc, out);
     return true;
   }
-  if (is_chrome_trace(doc)) {
-    render_trace(doc, out);
-    return true;
-  }
   // A one-line journal parses as a single checkpoint entry.
   const JsonValue* schema = doc.find("schema");
   if (schema != nullptr && schema->str == kSweepCheckpointSchema &&
@@ -891,9 +747,8 @@ bool inspect_file(const std::string& path, std::FILE* out) {
     return false;
   }
   std::fprintf(stderr,
-               "inspect: %s: neither a wehey report (run, sweep or "
-               "checkpoint journal) nor a chrome trace\n",
-               path.c_str());
+               "inspect: %s: not a wehey report (run, sweep or checkpoint "
+               "journal)\n", path.c_str());
   return false;
 }
 

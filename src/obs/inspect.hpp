@@ -1,15 +1,15 @@
-// Offline analyzer behind `wehey_cli inspect <report|trace|sweep>`.
+// Offline analyzer behind `wehey_cli inspect <report|sweep|journal>`.
 //
-// Reads the JSON artifacts the obs layer emits — wehey.run_report.v5
-// RunReports, wehey.sweep_report.v1 aggregates, wehey.sweep_checkpoint.v1
-// journals and Chrome-trace timelines — and renders human-readable
-// summaries: per-stage latency and self-time profiles, p50/p90/p99
-// percentiles per histogram (from the report's "percentiles" section),
-// per-flow RTT/loss tables, queue-residency and drop-by-reason breakdowns,
-// and link utilization. Any other schema tag,
-// older versions included, is refused. Optional sections (cell, ground
-// truth, audit, fault-free injection) may be absent: the renderer skips
-// what is missing instead of failing.
+// Reads the report artifacts the obs layer emits — wehey.run_report.v6
+// RunReports, wehey.sweep_report.v2 aggregates and
+// wehey.sweep_checkpoint.v1 journals — and renders human-readable
+// summaries: per-stage sim times, p50/p90/p99 percentiles per histogram
+// (from the report's "percentiles" section), per-flow RTT/loss tables,
+// queue-residency and drop-by-reason breakdowns, and link utilization.
+// Any other document is refused: older schema versions, and Chrome
+// traces, which open in any Chrome-trace viewer. Optional sections
+// (cell, ground truth, audit, fault-free injection) may be absent: the
+// renderer skips what is missing instead of failing.
 //
 // The JSON model is deliberately tiny (no external dependency): objects
 // preserve key order, numbers are doubles — exactly what the writers in
@@ -47,17 +47,16 @@ bool json_parse(const std::string& text, JsonValue& out,
                 std::string* error = nullptr);
 
 bool is_run_report(const JsonValue& doc);
-bool is_chrome_trace(const JsonValue& doc);
 
 void render_report(const JsonValue& doc, std::FILE* out);
 void render_sweep(const JsonValue& doc, std::FILE* out);
-void render_trace(const JsonValue& doc, std::FILE* out);
 
 /// Slurp a file; false on I/O error.
 bool read_file(const std::string& path, std::string& out);
 
-/// Convenience: read `path`, detect report vs trace, render to `out`.
-/// Returns false (with a message on stderr) on parse or format errors.
+/// Convenience: read `path`, detect run report vs sweep vs journal,
+/// render to `out`. Returns false (with a message on stderr, nothing on
+/// `out`) on parse or format errors.
 bool inspect_file(const std::string& path, std::FILE* out);
 
 }  // namespace wehey::obs

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
-#include <vector>
 
 namespace wehey::obs {
 
@@ -69,8 +68,7 @@ ObservedSweep::ObservedSweep(std::string run_name,
       bind_(recorder_.get()),
       mode_(report_mode_from_env()),
       aggregator_(run_name),
-      meter_(run_name),
-      wall_start_(std::chrono::steady_clock::now()) {
+      meter_(run_name) {
   report_.run = std::move(run_name);
   const char* dir = std::getenv("WEHEY_REPORT_DIR");
   if (dir != nullptr && mode_ != ReportMode::kSweep) run_dir_ = dir;
@@ -155,30 +153,6 @@ ObservedSweep::~ObservedSweep() {
   if (!report_.run.empty()) {
     const MetricsRegistry* metrics =
         recorder_ != nullptr ? &recorder_->metrics() : nullptr;
-    // Profile the report if nothing filled it explicitly: from the
-    // finalized timeline when tracing (every (pid, tid) pair is its own
-    // track), else from the recorded stages (one track each —
-    // conservative: no cross-stage nesting assumed).
-    if (report_.profile.empty()) {
-      if (!trace_path_.empty()) {
-        report_.profile = profile_from_spans(
-            profile_spans_from_timeline(recorder_->timeline()));
-      } else if (!report_.stages.empty()) {
-        std::vector<ProfileSpan> spans;
-        for (std::size_t i = 0; i < report_.stages.size(); ++i) {
-          const auto& s = report_.stages[i];
-          spans.push_back({static_cast<std::int64_t>(i), s.name, s.sim_start,
-                           s.sim_end, s.wall_ms});
-        }
-        report_.profile = profile_from_spans(std::move(spans));
-      }
-    }
-    if (report_wall_times()) {
-      report_.values["wall_ms_total"] =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start_)
-              .count();
-    }
     if (mode_ != ReportMode::kSweep) {
       const std::string path = report_path_from_env(report_.run);
       if (!path.empty()) {

@@ -24,7 +24,6 @@
 //                      (report.hpp).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -96,7 +95,8 @@ class ScopedRecorder {
 /// Grids feed each run through add_run() into a SweepAggregator, and
 /// WEHEY_REPORT_MODE picks what lands on disk — per-run (default):
 /// report() plus one file per run under WEHEY_REPORT_DIR; sweep: only the
-/// aggregated wehey.sweep_report.v1; both: everything.
+/// aggregated wehey.sweep_report.v2; both: everything. Any other mode
+/// stops the process with status 2 before the first run.
 ///
 /// With a journal path, add_run() appends one flushed checkpoint line per
 /// run and an existing journal is resumed: cached() names its completed
@@ -119,10 +119,9 @@ class ObservedSweep {
   ObservedSweep(const ObservedSweep&) = delete;
   ObservedSweep& operator=(const ObservedSweep&) = delete;
 
-  /// The binary-level report written on destruction; when nothing filled
-  /// its profile, the profile is derived from the trace or the stages. An
-  /// empty run name writes no report or sweep file (for a front end whose
-  /// command emits none, or writes its own).
+  /// The binary-level report written on destruction. An empty run name
+  /// writes no report or sweep file (for a front end whose command emits
+  /// none, or writes its own).
   RunReport& report() { return report_; }
 
   /// The sweep of every run absorbed so far.
@@ -176,7 +175,6 @@ class ObservedSweep {
   CheckpointJournal journal_;    ///< completed runs of a killed sweep
   CheckpointWriter checkpoint_;  ///< open iff a journal path was given
   std::uint64_t next_run_index_ = 0;
-  std::chrono::steady_clock::time_point wall_start_;
 };
 
 }  // namespace wehey::obs

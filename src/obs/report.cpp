@@ -1,11 +1,9 @@
 #include "obs/report.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-
-#include <cmath>
 
 #include "obs/aggregate.hpp"
 #include "obs/timeline.hpp"
@@ -54,117 +52,6 @@ AuditSection classify_audit(const GroundTruthSection& truth,
     audit.mismatch_reason = "clear-miss";
   }
   return audit;
-}
-
-std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans) {
-  // Deterministic total order: track, then start ascending, then end
-  // descending (parents before children), then name.
-  std::sort(spans.begin(), spans.end(),
-            [](const ProfileSpan& a, const ProfileSpan& b) {
-              if (a.track != b.track) return a.track < b.track;
-              if (a.start != b.start) return a.start < b.start;
-              if (a.end != b.end) return a.end > b.end;
-              return a.name < b.name;
-            });
-
-  struct Node {
-    double child_sim_ms = 0.0;
-    double child_wall_ms = 0.0;
-    bool child_wall_ok = true;  ///< all direct children carried wall times
-  };
-  std::vector<Node> nodes(spans.size());
-
-  // Per-track containment stack: the top is the innermost span still
-  // enclosing the current one. Assumes well-nested spans per track
-  // (sequential stages or strictly contained sub-spans); partially
-  // overlapping spans are treated as siblings.
-  std::vector<std::size_t> stack;
-  std::int64_t track = 0;
-  bool track_open = false;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const ProfileSpan& s = spans[i];
-    if (!track_open || s.track != track) {
-      stack.clear();
-      track = s.track;
-      track_open = true;
-    }
-    while (!stack.empty()) {
-      const ProfileSpan& top = spans[stack.back()];
-      if (s.start >= top.start && s.end <= top.end) break;
-      stack.pop_back();
-    }
-    if (!stack.empty()) {
-      Node& parent = nodes[stack.back()];
-      parent.child_sim_ms +=
-          to_milliseconds(s.end) - to_milliseconds(s.start);
-      if (s.wall_ms >= 0.0) {
-        parent.child_wall_ms += s.wall_ms;
-      } else {
-        parent.child_wall_ok = false;
-      }
-    }
-    stack.push_back(i);
-  }
-
-  struct Acc {
-    std::uint64_t count = 0;
-    double sim_ms = 0.0;
-    double self_sim_ms = 0.0;
-    double wall_ms = 0.0;
-    double self_wall_ms = 0.0;
-    bool wall_ok = true;       ///< every span of this name had wall time
-    bool self_wall_ok = true;  ///< ... and so did all their children
-  };
-  std::map<std::string, Acc> by_name;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const ProfileSpan& s = spans[i];
-    const Node& n = nodes[i];
-    const double dur = to_milliseconds(s.end) - to_milliseconds(s.start);
-    Acc& a = by_name[s.name];
-    ++a.count;
-    a.sim_ms += dur;
-    a.self_sim_ms += std::max(0.0, dur - n.child_sim_ms);
-    if (s.wall_ms >= 0.0) {
-      a.wall_ms += s.wall_ms;
-      if (n.child_wall_ok) {
-        a.self_wall_ms += std::max(0.0, s.wall_ms - n.child_wall_ms);
-      } else {
-        a.self_wall_ok = false;
-      }
-    } else {
-      a.wall_ok = false;
-      a.self_wall_ok = false;
-    }
-  }
-
-  std::vector<ProfileEntry> out;
-  out.reserve(by_name.size());
-  for (const auto& [name, a] : by_name) {
-    ProfileEntry e;
-    e.name = name;
-    e.count = a.count;
-    e.sim_ms = a.sim_ms;
-    e.self_sim_ms = a.self_sim_ms;
-    e.wall_ms = a.wall_ok ? a.wall_ms : -1.0;
-    e.self_wall_ms = (a.wall_ok && a.self_wall_ok) ? a.self_wall_ms : -1.0;
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl) {
-  std::vector<ProfileSpan> spans;
-  for (const auto& ev : tl.events()) {
-    if (ev.kind != TimelineEvent::Kind::Span) continue;
-    ProfileSpan s;
-    s.track = (static_cast<std::int64_t>(ev.pid) << 32) |
-              static_cast<std::int64_t>(static_cast<std::uint32_t>(ev.tid));
-    s.name = ev.name;
-    s.start = ev.at;
-    s.end = ev.at + ev.duration;
-    spans.push_back(std::move(s));
-  }
-  return spans;
 }
 
 std::string RunReport::to_json(const MetricsRegistry* metrics) const {
@@ -254,34 +141,12 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
         << ", \"sim_end_us\": "
         << json_number(static_cast<double>(s.sim_end) / 1000.0)
         << ", \"sim_ms\": " << json_number(to_milliseconds(s.sim_end) -
-                                           to_milliseconds(s.sim_start));
-    if (s.wall_ms >= 0.0) {
-      out << ", \"wall_ms\": " << json_number(s.wall_ms);
-    }
-    out << "}";
+                                           to_milliseconds(s.sim_start))
+        << "}";
   }
   out << (stages.empty() ? "" : "\n  ") << "],\n";
-  // Per-stage self time (span duration minus directly enclosed child
-  // spans), see profile_from_spans.
-  out << "  \"profile\": {";
-  bool first = true;
-  for (const auto& p : profile) {
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(p.name)
-        << "\": {\"count\": " << p.count
-        << ", \"sim_ms\": " << json_number(p.sim_ms)
-        << ", \"self_sim_ms\": " << json_number(p.self_sim_ms);
-    if (p.wall_ms >= 0.0) {
-      out << ", \"wall_ms\": " << json_number(p.wall_ms);
-    }
-    if (p.self_wall_ms >= 0.0) {
-      out << ", \"self_wall_ms\": " << json_number(p.self_wall_ms);
-    }
-    out << "}";
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n";
   out << "  \"values\": {";
-  first = true;
+  bool first = true;
   for (const auto& [name, v] : values) {
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": " << json_number(v);
@@ -330,9 +195,13 @@ ReportMode report_mode_from_env() {
   const char* v = std::getenv("WEHEY_REPORT_MODE");
   if (v == nullptr) return ReportMode::kPerRun;
   const std::string mode(v);
+  if (mode.empty() || mode == "per-run") return ReportMode::kPerRun;
   if (mode == "sweep") return ReportMode::kSweep;
   if (mode == "both") return ReportMode::kBoth;
-  return ReportMode::kPerRun;
+  // A typo must not silently fall back to per-run and skip the sweep file.
+  std::fprintf(stderr, "unknown WEHEY_REPORT_MODE '%s'; valid modes: "
+               "per-run|sweep|both\n", mode.c_str());
+  std::exit(2);
 }
 
 std::string report_path_from_env(const std::string& run_name) {
@@ -359,11 +228,6 @@ std::string sweep_path_from_env(const std::string& run_name) {
     if (dir[0] != 0) return std::string(dir) + "/" + run_name + ".sweep.json";
   }
   return {};
-}
-
-bool report_wall_times() {
-  const char* v = std::getenv("WEHEY_REPORT_WALL");
-  return v != nullptr && v[0] != 0 && std::string(v) != "0";
 }
 
 bool write_report_file(const std::string& path, const std::string& json) {

@@ -1,10 +1,10 @@
 // RunReport: the machine-readable result of one run — a session, a wild
 // test, or a whole bench binary. One shared schema
-// ("wehey.run_report.v5", JSON) replaces the ad-hoc JSON each bench used
+// ("wehey.run_report.v6", JSON) replaces the ad-hoc JSON each bench used
 // to emit:
 //
 //   {
-//     "schema": "wehey.run_report.v5",
+//     "schema": "wehey.run_report.v6",
 //     "run": "<binary or pipeline name>",
 //     "cell": "<grid-cell label, omitted when empty>",
 //     "seed": 2,
@@ -38,23 +38,23 @@
 //                                  "clear-miss" | "no-margin" |
 //                                  "not-evaluated"},
 //     "stages": [{"name": ..., "sim_start_us": ..., "sim_end_us": ...,
-//                 "sim_ms": ..., "wall_ms": ...?}, ...],
-//     "profile": {"<stage>": {"count": N, "sim_ms": X, "self_sim_ms": X,
-//                             "wall_ms": X?, "self_wall_ms": X?}, ...},
+//                 "sim_ms": ...}, ...],
 //     "values": {"<scalar name>": <number>, ...},
 //     "injection": {"total": N, "<fault kind>": N, ...},
 //     "percentiles": {"<histogram>": {"p50": X, "p90": X, "p99": X}, ...},
 //     "metrics": {"counters": ..., "gauges": ..., "histograms": ...}
 //   }
 //
-// "percentiles" is derived per non-empty histogram via histogram_quantile;
-// "profile" holds per-stage self time (span duration minus enclosed child
-// spans). "decision" is the verdict's provenance (per-detector statistic /
-// threshold / signed margin, the Alg. 1 aggregation count, engaged
-// degradation paths, and the run-level verdict margin the sweep
-// knife-edge gate aggregates). A run that never reached analysis (budget
-// exhausted, session aborted before localize) carries an empty-but-valid
-// block: {"evaluated": false, "detectors": [], "degradations": []}.
+// "stages" is the run's one record of stage time, on the sim clock; the
+// replay windows inside a stage are the trace's "replay" spans, and what
+// a stage costs to simulate is perfbench's to measure. "percentiles" is
+// derived per non-empty histogram via histogram_quantile. "decision" is
+// the verdict's provenance (per-detector statistic / threshold / signed
+// margin, the Alg. 1 aggregation count, engaged degradation paths, and
+// the run-level verdict margin the sweep knife-edge gate aggregates). A
+// run that never reached analysis (budget exhausted, session aborted
+// before localize) carries an empty-but-valid block:
+// {"evaluated": false, "detectors": [], "degradations": []}.
 // The optional "ground_truth" ledger records what the simulator actually
 // configured (a pure function of the run's configuration, no RNG) and the
 // derived "audit" section grades the verdict against it (TP/FP/FN/TN with
@@ -64,10 +64,9 @@
 // Reports are regenerated, not archived: every reader here accepts only
 // the current schema tag and refuses older versions.
 //
-// Determinism contract: everything except "wall_ms" is a pure function of
-// the run's seeds, so the serialized report is byte-identical across
-// WEHEY_THREADS. Wall-clock stage times are therefore only included when
-// WEHEY_REPORT_WALL=1 (stage.wall_ms < 0 suppresses the field).
+// Determinism contract: every field is a pure function of the run's
+// seeds, so the serialized report is byte-identical across
+// WEHEY_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +83,9 @@ namespace wehey::obs {
 /// wehey_cli inspect and SweepAggregator::add_run_json read. The single
 /// source of truth for the version string; tools/run_report_schema.json
 /// must name exactly this value (asserted by tests/test_sweep.cpp).
-inline constexpr char kRunReportSchema[] = "wehey.run_report.v5";
+inline constexpr char kRunReportSchema[] = "wehey.run_report.v6";
 /// Schema of the aggregated sweep report (src/obs/aggregate.hpp).
-inline constexpr char kSweepReportSchema[] = "wehey.sweep_report.v1";
+inline constexpr char kSweepReportSchema[] = "wehey.sweep_report.v2";
 /// Schema of one line of a sweep checkpoint journal
 /// (src/obs/checkpoint.hpp).
 inline constexpr char kSweepCheckpointSchema[] = "wehey.sweep_checkpoint.v1";
@@ -104,44 +103,7 @@ struct StageTiming {
   std::string name;
   Time sim_start = 0;
   Time sim_end = 0;
-  double wall_ms = -1.0;  ///< < 0: omitted from the JSON
 };
-
-/// One interval on a profiling track. Spans on the same track nest by
-/// interval containment (a span whose [start,end] lies inside another's
-/// is its child); spans on different tracks never nest. Tracks let
-/// parallel phases that all start at sim time 0 coexist without falsely
-/// appearing contained in one another.
-struct ProfileSpan {
-  std::int64_t track = 0;
-  std::string name;
-  Time start = 0;
-  Time end = 0;
-  double wall_ms = -1.0;  ///< < 0: wall time unknown
-};
-
-/// Aggregated per-stage-name profile: total time and *self* time (total
-/// minus directly enclosed child spans), on the sim clock and — when
-/// every contributing span carries one — the wall clock.
-struct ProfileEntry {
-  std::string name;
-  std::uint64_t count = 0;
-  double sim_ms = 0.0;
-  double self_sim_ms = 0.0;
-  double wall_ms = -1.0;       ///< < 0: omitted from the JSON
-  double self_wall_ms = -1.0;  ///< < 0: omitted from the JSON
-};
-
-/// Compute per-name self-time profiles from a set of spans. Deterministic:
-/// the result is sorted by name and independent of the input order.
-std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans);
-
-class Timeline;
-
-/// Extract every complete span of a finalized timeline as a profiling
-/// interval; each (pid, tid) pair becomes its own track, so absorbed
-/// trials never falsely nest in one another.
-std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl);
 
 /// One row of the "decision" section: a detector statistic, the
 /// threshold it was compared against, and the signed normalized margin
@@ -272,9 +234,6 @@ struct RunReport {
   /// Verdict vs ground truth (omitted while !present).
   AuditSection audit;
   std::vector<StageTiming> stages;
-  /// Per-stage self-time profile (see profile_from_spans). Always
-  /// emitted, possibly empty.
-  std::vector<ProfileEntry> profile;
   /// Scalar results (retry counters, success rates, ...). Sorted on
   /// output.
   std::map<std::string, double> values;
@@ -282,9 +241,8 @@ struct RunReport {
   /// faults::InjectionStats::by_kind()); "total" is added on output.
   std::map<std::string, int> injection;
 
-  void add_stage(std::string name, Time sim_start, Time sim_end,
-                 double wall_ms = -1.0) {
-    stages.push_back({std::move(name), sim_start, sim_end, wall_ms});
+  void add_stage(std::string name, Time sim_start, Time sim_end) {
+    stages.push_back({std::move(name), sim_start, sim_end});
   }
 
   /// Serialize; `metrics` (usually the run recorder's registry, may be
@@ -294,12 +252,13 @@ struct RunReport {
 
 /// How reports are written at the end of a sweep (WEHEY_REPORT_MODE):
 ///   per-run (default) — one RunReport file per run, as before;
-///   sweep             — only the aggregated wehey.sweep_report.v1 file;
+///   sweep             — only the aggregated wehey.sweep_report.v2 file;
 ///   both              — per-run files plus the aggregate.
 enum class ReportMode { kPerRun, kSweep, kBoth };
 
-/// Parse WEHEY_REPORT_MODE ("per-run" | "sweep" | "both"; default
-/// per-run; unknown values fall back to per-run).
+/// Parse WEHEY_REPORT_MODE ("per-run" | "sweep" | "both"; unset or
+/// empty = per-run). Any other value names no mode: it is reported on
+/// stderr and the process exits with status 2.
 ReportMode report_mode_from_env();
 
 /// Resolve the report output path from the environment: WEHEY_REPORT
@@ -313,10 +272,6 @@ std::string report_path_from_env(const std::string& run_name);
 /// Under WEHEY_REPORT_DIR the sweep file is "<run>.sweep.json". Empty =
 /// reporting off.
 std::string sweep_path_from_env(const std::string& run_name);
-
-/// Whether per-stage wall-clock times should be recorded
-/// (WEHEY_REPORT_WALL=1; off by default to keep reports deterministic).
-bool report_wall_times();
 
 /// Write `json` to `path`. Returns false on I/O error.
 bool write_report_file(const std::string& path, const std::string& json);

@@ -170,7 +170,6 @@ void TcpSender::retransmit_front(bool timeout) {
 }
 
 void TcpSender::apply_sack(const Packet& ack_pkt) {
-  const std::uint64_t prev_highest = highest_sacked_;
   if (ack_pkt.sack != netsim::kNoSack) {
     const netsim::SackList& list = sacks_.at(ack_pkt.sack);
     for (int i = 0; i < list.used; ++i) {
@@ -215,7 +214,6 @@ void TcpSender::apply_sack(const Packet& ack_pkt) {
   // only on cumulative-ACK progress (RFC 6298). If the una-hole repair
   // itself is lost, the timeout is the rescue path; postponing it on SACK
   // progress would starve a stuck recovery forever.
-  (void)prev_highest;
 }
 
 void TcpSender::sack_retransmit() {

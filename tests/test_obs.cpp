@@ -297,7 +297,7 @@ TEST(Report, SessionReportIsDeterministicAndComplete) {
   const auto jb = replay::make_run_report(cfg, b, "test_session")
                       .to_json(nullptr);
   EXPECT_EQ(ja, jb);
-  EXPECT_NE(ja.find("\"schema\": \"wehey.run_report.v5\""),
+  EXPECT_NE(ja.find("\"schema\": \"wehey.run_report.v6\""),
             std::string::npos);
   EXPECT_NE(ja.find("\"run\": \"test_session\""), std::string::npos);
   EXPECT_NE(ja.find("\"verdict\": \"localized within ISP\""),
@@ -424,16 +424,6 @@ TEST(Report, V2PercentilesDerivedFromHistograms) {
             std::string::npos);
 }
 
-TEST(Report, StageWallTimesOmittedByDefault) {
-  RunReport rep;
-  rep.run = "r";
-  rep.add_stage("s", 0, kSecond);           // wall_ms defaults to -1
-  rep.add_stage("t", kSecond, 2 * kSecond, 3.5);
-  const std::string json = rep.to_json(nullptr);
-  EXPECT_EQ(json.find("\"wall_ms\""), json.rfind("\"wall_ms\""));
-  EXPECT_NE(json.find("\"wall_ms\": 3.5"), std::string::npos);
-}
-
 // Tentpole part 1: the simulator hot paths (queues, links, TCP) populate
 // their histograms whenever a recorder is bound.
 TEST(Obs, HotPathHistogramsPopulated) {
@@ -502,7 +492,7 @@ TEST(Obs, FullExperimentReportIsPopulatedAndDeterministic) {
     return res.report.to_json(&res.metrics);
   };
   const std::string first = run_json();
-  EXPECT_NE(first.find("\"schema\": \"wehey.run_report.v5\""),
+  EXPECT_NE(first.find("\"schema\": \"wehey.run_report.v6\""),
             std::string::npos);
   EXPECT_NE(first.find("\"run\": \"test_full\""), std::string::npos);
   EXPECT_NE(first.find("sim_original"), std::string::npos);

@@ -1,9 +1,9 @@
 // Sweep-scale observability: the SweepAggregator merge algebra (order-
-// and thread-count-insensitive, offline == in-process), the self-time
-// profile, the run harness (ObservedSweep: checkpoint resume and the
-// report files each WEHEY_REPORT_MODE writes), the baseline comparator
-// behind `wehey_cli compare`, and the schema-version constants' agreement
-// with the JSON Schema files under tools/.
+// and thread-count-insensitive, offline == in-process), the run harness
+// (ObservedSweep: checkpoint resume and the report files each
+// WEHEY_REPORT_MODE writes), the baseline comparator behind `wehey_cli
+// compare`, and the schema-version constants' agreement with the JSON
+// Schema files under tools/.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,91 +25,6 @@
 
 namespace wehey::obs {
 namespace {
-
-// ------------------------------------------------------------ profile
-
-const ProfileEntry* entry(const std::vector<ProfileEntry>& profile,
-                          const std::string& name) {
-  for (const auto& e : profile) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-TEST(Profile, SelfTimeSubtractsDirectChildrenOnly) {
-  // parent [0,10s] > child [2,5s] > grandchild [3,4s], one track: the
-  // parent's self time excludes the child but not the grandchild (which
-  // the child already pays for).
-  std::vector<ProfileSpan> spans = {
-      {0, "parent", 0, 10 * kSecond},
-      {0, "child", 2 * kSecond, 5 * kSecond},
-      {0, "grandchild", 3 * kSecond, 4 * kSecond},
-  };
-  const auto profile = profile_from_spans(spans);
-  ASSERT_EQ(profile.size(), 3u);
-  const ProfileEntry* parent = entry(profile, "parent");
-  const ProfileEntry* child = entry(profile, "child");
-  const ProfileEntry* grandchild = entry(profile, "grandchild");
-  ASSERT_NE(parent, nullptr);
-  ASSERT_NE(child, nullptr);
-  ASSERT_NE(grandchild, nullptr);
-  EXPECT_DOUBLE_EQ(parent->sim_ms, 10000.0);
-  EXPECT_DOUBLE_EQ(parent->self_sim_ms, 7000.0);
-  EXPECT_DOUBLE_EQ(child->sim_ms, 3000.0);
-  EXPECT_DOUBLE_EQ(child->self_sim_ms, 2000.0);
-  EXPECT_DOUBLE_EQ(grandchild->self_sim_ms, 1000.0);
-  // No wall times were provided, so none are reported.
-  EXPECT_LT(parent->wall_ms, 0.0);
-  EXPECT_LT(parent->self_wall_ms, 0.0);
-
-  // Input order must not matter.
-  std::vector<ProfileSpan> reversed(spans.rbegin(), spans.rend());
-  const auto again = profile_from_spans(std::move(reversed));
-  ASSERT_EQ(again.size(), profile.size());
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    EXPECT_EQ(again[i].name, profile[i].name);
-    EXPECT_DOUBLE_EQ(again[i].self_sim_ms, profile[i].self_sim_ms);
-  }
-}
-
-TEST(Profile, TracksPreventFalseNestingOfParallelPhases) {
-  // Two phases both starting at sim time 0 — the short one would look
-  // contained in the long one if they shared a track.
-  const auto same_track = profile_from_spans({
-      {0, "long", 0, 10 * kSecond},
-      {0, "short", 0, 4 * kSecond},
-  });
-  EXPECT_DOUBLE_EQ(entry(same_track, "long")->self_sim_ms, 6000.0);
-  const auto two_tracks = profile_from_spans({
-      {0, "long", 0, 10 * kSecond},
-      {1, "short", 0, 4 * kSecond},
-  });
-  EXPECT_DOUBLE_EQ(entry(two_tracks, "long")->self_sim_ms, 10000.0);
-  EXPECT_DOUBLE_EQ(entry(two_tracks, "short")->self_sim_ms, 4000.0);
-}
-
-TEST(Profile, WallTimesOnlyWhenEverySpanCarriesThem) {
-  const auto with_wall = profile_from_spans({
-      {0, "stage", 0, 2 * kSecond, 50.0},
-      {0, "inner", 0, kSecond, 30.0},
-  });
-  const ProfileEntry* stage = entry(with_wall, "stage");
-  ASSERT_NE(stage, nullptr);
-  EXPECT_DOUBLE_EQ(stage->wall_ms, 50.0);
-  EXPECT_DOUBLE_EQ(stage->self_wall_ms, 20.0);
-
-  // One span without a wall stamp poisons that name's wall columns (a
-  // partial sum would be a lie) but not its sim columns.
-  const auto partial = profile_from_spans({
-      {0, "stage", 0, 2 * kSecond, 50.0},
-      {1, "stage", 0, 2 * kSecond, -1.0},
-  });
-  const ProfileEntry* p = entry(partial, "stage");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->count, 2u);
-  EXPECT_DOUBLE_EQ(p->sim_ms, 4000.0);
-  EXPECT_LT(p->wall_ms, 0.0);
-}
 
 // ------------------------------------------------------- merge algebra
 
@@ -154,10 +69,6 @@ std::pair<RunReport, MetricsRegistry> synthetic_run(std::size_t i) {
   r.add_stage("wehe_test", 0, (1 + Time(i)) * kSecond);
   r.add_stage("analysis", (1 + Time(i)) * kSecond,
               (2 + Time(i)) * kSecond);
-  r.profile = profile_from_spans({
-      {0, "wehe_test", 0, (1 + Time(i)) * kSecond},
-      {0, "replay_window", 0, kSecond / 2},
-  });
 
   MetricsRegistry m;
   m.counter("sim.events").inc(1000 + i);
@@ -194,11 +105,10 @@ TEST(Sweep, AggregateIsAbsorbOrderInsensitive) {
   EXPECT_EQ(json, reverse.to_json());
   EXPECT_EQ(json, shuffled.to_json());
   EXPECT_EQ(forward.runs(), n);
-  EXPECT_NE(json.find("\"schema\": \"wehey.sweep_report.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"wehey.sweep_report.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"cells\""), std::string::npos);
   EXPECT_NE(json.find("\"cell0\""), std::string::npos);
-  EXPECT_NE(json.find("\"profile\""), std::string::npos);
 }
 
 TEST(Sweep, OfflineJsonMergeMatchesInProcessMergeByteForByte) {
@@ -320,7 +230,7 @@ TEST(Sweep, RejectsNonReportDocuments) {
   SweepAggregator agg("sweep_test");
   JsonValue doc;
   std::string error;
-  ASSERT_TRUE(json_parse("{\"schema\": \"wehey.sweep_report.v1\"}", doc));
+  ASSERT_TRUE(json_parse("{\"schema\": \"wehey.sweep_report.v2\"}", doc));
   EXPECT_FALSE(agg.add_run_json(doc, &error));
   EXPECT_FALSE(error.empty());
   ASSERT_TRUE(json_parse("[1, 2]", doc));
@@ -359,8 +269,6 @@ TEST(Sweep, WildSweepByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, pooled);
   EXPECT_NE(serial.find("\"runs\": 3"), std::string::npos);
   EXPECT_NE(serial.find("single_original"), std::string::npos);
-  // The per-phase self time excludes the nested replay window.
-  EXPECT_NE(serial.find("\"replay_window\""), std::string::npos);
 }
 
 // ------------------------------------------------------------ compare
@@ -400,15 +308,11 @@ TEST(Compare, WithinToleranceAndDriftDetected) {
 }
 
 TEST(Compare, MissingKeysIgnoreAndFloors) {
-  const JsonValue base =
-      parse("{\"a\": 1.0, \"wall_ms\": 5.0, \"verdict\": \"ok\"}");
+  const JsonValue base = parse("{\"a\": 1.0, \"verdict\": \"ok\"}");
   CompareOptions opts;
-  opts.ignore.push_back("wall");
-  // Candidate dropped "a" -> failure; changed wall_ms -> ignored; new key
-  // -> note only.
-  const auto res = compare_reports(
-      base, parse("{\"wall_ms\": 500.0, \"verdict\": \"ok\", \"b\": 2}"),
-      opts);
+  // Candidate dropped "a" -> failure; new key -> note only.
+  const auto res =
+      compare_reports(base, parse("{\"verdict\": \"ok\", \"b\": 2}"), opts);
   EXPECT_FALSE(res.ok);
   ASSERT_EQ(res.failures.size(), 1u);
   EXPECT_NE(res.failures[0].find("missing in candidate: a"),
@@ -417,8 +321,7 @@ TEST(Compare, MissingKeysIgnoreAndFloors) {
   EXPECT_NE(res.notes[0].find("b"), std::string::npos);
   // Verdict strings compare exactly.
   const auto verdict = compare_reports(
-      base, parse("{\"a\": 1.0, \"wall_ms\": 5.0, \"verdict\": \"bad\"}"),
-      opts);
+      base, parse("{\"a\": 1.0, \"verdict\": \"bad\"}"), opts);
   EXPECT_FALSE(verdict.ok);
 
   // min-key floors judge the candidate alone.
@@ -449,16 +352,15 @@ TEST(Compare, PerKeyToleranceOverride) {
 }
 
 TEST(Compare, RequireKeyGuardsSectionExistence) {
-  const JsonValue base = parse("{\"a\": 1.0}");
-  const JsonValue cand = parse(
+  const char* doc =
       "{\"a\": 1.0, \"knife_edge\": {\"margin_threshold\": 0.05, "
-      "\"cells\": {\"ISP2\": {\"min_margin\": 0.01, \"runs_below\": 2}}}}");
+      "\"cells\": {\"ISP2\": {\"min_margin\": 0.01, \"runs_below\": 2}}}}";
+  const JsonValue base = parse(doc);
+  const JsonValue cand = parse(doc);
 
-  // Existence is asserted against all candidate keys — even ones the
-  // numeric diff ignores, so CI can exempt knife_edge drift while still
-  // failing if the section disappears outright.
+  // Existence is asserted against all candidate keys, independently of
+  // the numeric diff: the section must be there, not merely undrifted.
   CompareOptions opts;
-  opts.ignore.push_back("knife_edge");
   opts.require_keys.push_back("knife_edge\\.margin_threshold");
   opts.require_keys.push_back("knife_edge\\.cells");
   EXPECT_TRUE(compare_reports(base, cand, opts).ok);
@@ -614,6 +516,31 @@ TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
   EXPECT_TRUE(rendered.empty());
 }
 
+TEST(Inspect, RefusesChromeTraces) {
+  // Traces open in any Chrome-trace viewer; inspect reads reports only,
+  // and refuses a trace like any other foreign document.
+  const std::string dir = ::testing::TempDir();
+  const std::string trace = dir + "/trace.json";
+  ASSERT_TRUE(write_report_file(
+      trace,
+      "{\"traceEvents\": [{\"name\": \"wehe_test\", \"cat\": \"session\", "
+      "\"ph\": \"X\", \"ts\": 0, \"dur\": 1000, \"pid\": 0, \"tid\": 0}, "
+      "{\"name\": \"queue.depth\", \"ph\": \"C\", \"ts\": 5, \"pid\": 0, "
+      "\"tid\": 0, \"args\": {\"value\": 3}}]}"));
+  const std::string sink_path = dir + "/trace_sink.txt";
+  std::FILE* sink = std::fopen(sink_path.c_str(), "w");
+  ASSERT_NE(sink, nullptr);
+  ::testing::internal::CaptureStderr();
+  const bool ok = inspect_file(trace, sink);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  std::fclose(sink);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(err.find("not a wehey report"), std::string::npos) << err;
+  std::string rendered;
+  ASSERT_TRUE(read_file(sink_path, rendered));
+  EXPECT_TRUE(rendered.empty()) << rendered;
+}
+
 TEST(Inspect, ParserRejectsPathologicalDocuments) {
   JsonValue doc;
   std::string error;
@@ -742,7 +669,6 @@ TEST(Inspect, RendersSweepReports) {
   EXPECT_NE(rendered.find("sweep report"), std::string::npos);
   EXPECT_NE(rendered.find("render_me"), std::string::npos);
   EXPECT_NE(rendered.find("cell0"), std::string::npos);
-  EXPECT_NE(rendered.find("stage profile"), std::string::npos);
   // The v5 confusion-matrix table renders alongside the older sections.
   EXPECT_NE(rendered.find("AUDIT"), std::string::npos);
   EXPECT_NE(rendered.find("(grid)"), std::string::npos);
@@ -756,8 +682,8 @@ TEST(Inspect, RendersSweepReports) {
 TEST(Inspect, FrozenFixtureReportsStillRender) {
   const std::string root = WEHEY_SOURCE_DIR;
   const char* fixtures[] = {
-      "/tests/data/run_report_v5.json",
-      "/tests/data/sweep_report_v1.json",
+      "/tests/data/run_report_v6.json",
+      "/tests/data/sweep_report_v2.json",
   };
   const std::string dir = ::testing::TempDir();
   for (const char* fixture : fixtures) {
@@ -774,9 +700,9 @@ TEST(Inspect, FrozenFixtureReportsStillRender) {
 
 TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
   const std::string root = WEHEY_SOURCE_DIR;
-  SweepAggregator agg("fixtures_v5");
+  SweepAggregator agg("fixtures");
   std::string text;
-  ASSERT_TRUE(read_file(root + "/tests/data/run_report_v5.json", text));
+  ASSERT_TRUE(read_file(root + "/tests/data/run_report_v6.json", text));
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(json_parse(text, doc, &error)) << error;
@@ -930,8 +856,14 @@ TEST(ReportMode, ParsesEnvironmentKnob) {
   EXPECT_EQ(report_mode_from_env(), ReportMode::kSweep);
   ::setenv("WEHEY_REPORT_MODE", "both", 1);
   EXPECT_EQ(report_mode_from_env(), ReportMode::kBoth);
-  ::setenv("WEHEY_REPORT_MODE", "wat", 1);
+  ::setenv("WEHEY_REPORT_MODE", "per-run", 1);
   EXPECT_EQ(report_mode_from_env(), ReportMode::kPerRun);
+  // A typo is a usage error, not a silent per-run fallback.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("WEHEY_REPORT_MODE", "wat", 1);
+  EXPECT_EXIT(report_mode_from_env(), ::testing::ExitedWithCode(2),
+              "unknown WEHEY_REPORT_MODE 'wat'; valid modes: "
+              "per-run\\|sweep\\|both");
   ::unsetenv("WEHEY_REPORT_MODE");
 
   // Sweep-path resolution per mode.
