@@ -18,9 +18,14 @@
 // simulation stops allocating entirely once the pool has grown to the
 // high-water mark.
 //
-// Ordering: earliest `at` first; ties broken by ascending insertion
-// sequence number, so same-time events fire in the order they were
-// scheduled (the determinism contract the whole simulator relies on).
+// Ordering: earliest `at` first; ties broken by ascending sequence number,
+// so same-time events fire in the order they were scheduled (the
+// determinism contract the whole simulator relies on). A push normally
+// takes the next number; reserve_seqs() takes a run of them up front, and
+// push_at_seq()/rearm_current(at, seq) later hand them out one at a time.
+// An event keyed with a reserved number orders exactly as if it had been
+// pushed when the number was reserved: that is how a series of events (see
+// Simulator::schedule_series) holds one node yet fires in its place.
 #pragma once
 
 #include <array>
@@ -51,22 +56,40 @@ class EventHeap {
   /// Schedule `f` at time `at`, constructing it directly in its pool slot.
   template <typename F>
   void push(Time at, F&& f) {
-    const std::uint32_t slot = acquire_slot();
-    slot_ref(slot).emplace(std::forward<F>(f));
-    WEHEY_EXPECTS(next_seq_ < kSeqLimit);
-    nodes_.push_back(Node{at, (next_seq_++ << kSlotBits) | slot});
-    sift_up(nodes_.size() - 1);
+    insert(at, reserve_seqs(1), std::forward<F>(f));
+  }
+
+  /// Take `n` consecutive sequence numbers now and return the first. They
+  /// order after everything pushed so far and before everything pushed
+  /// later, whenever push_at_seq() or rearm_current(at, seq) uses them.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    WEHEY_EXPECTS(n <= kSeqLimit - next_seq_);
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// push() with a sequence number taken earlier by reserve_seqs(). Each
+  /// reserved number keys at most one pending event. From within an
+  /// executing action the key must not precede that action's own.
+  template <typename F>
+  void push_at_seq(Time at, std::uint64_t seq, F&& f) {
+    WEHEY_EXPECTS(seq < next_seq_);
+    WEHEY_EXPECTS(executing_ == kNoSlot ||
+                  !before(Node{at, seq << kSlotBits}, nodes_[0]));
+    insert(at, seq, std::forward<F>(f));
   }
 
   /// Run the earliest event's action in place, then retire (or re-arm) its
   /// node. The action runs while its node still sits at the root: anything
-  /// it pushes has `at >= now` and a larger seq, so it can never displace
-  /// that root, and deferring the removal lets a rearm_current() turn into
-  /// a replace-top — the re-armed key is near-minimal, so it sinks a level
-  /// or two instead of paying a full pop-sift plus push-sift. The action
-  /// may push new events (its own slot address is stable), but must not
-  /// call clear() on this heap. Precondition: the heap is non-empty and no
-  /// other event is currently executing.
+  /// it pushes has `at >= now` and a seq no smaller than the root's (a
+  /// fresh one, or a reserved one push_at_seq() checks), so it can never
+  /// displace that root, and deferring the removal lets a rearm_current()
+  /// turn into a replace-top — the re-armed key is near-minimal, so it
+  /// sinks a level or two instead of paying a full pop-sift plus push-sift.
+  /// The action may push new events (its own slot address is stable), but
+  /// must not call clear() on this heap. Precondition: the heap is
+  /// non-empty and no other event is currently executing.
   void run_top() {
     const std::uint32_t slot = nodes_[0].slot();
     executing_ = slot;
@@ -81,8 +104,9 @@ class EventHeap {
       nodes_.pop_back();
       if (!nodes_.empty()) sift_down_root(back);
     } else {
-      WEHEY_EXPECTS(next_seq_ < kSeqLimit);
-      replace_top(Node{rearm_at_, (next_seq_++ << kSlotBits) | slot});
+      const std::uint64_t seq =
+          rearm_seq_ == kFreshSeq ? reserve_seqs(1) : rearm_seq_;
+      replace_top(Node{rearm_at_, (seq << kSlotBits) | slot});
     }
   }
 
@@ -91,9 +115,15 @@ class EventHeap {
   /// effect when the action returns (last call wins), and the re-armed
   /// firing gets a fresh sequence number then, so relative to same-time
   /// events it orders after everything the action itself scheduled.
-  void rearm_current(Time at) {
+  void rearm_current(Time at) { rearm_current(at, kFreshSeq); }
+
+  /// rearm_current() keyed with `seq`, a number taken earlier by
+  /// reserve_seqs(), instead of a fresh one.
+  void rearm_current(Time at, std::uint64_t seq) {
     WEHEY_EXPECTS(executing_ != kNoSlot && at >= 0);
+    WEHEY_EXPECTS(seq == kFreshSeq || seq < next_seq_);
     rearm_at_ = at;
+    rearm_seq_ = seq;
   }
 
   /// Drain events in timestamp order, advancing `now` to each event's time
@@ -148,7 +178,7 @@ class EventHeap {
   /// word compares seq (slot bits only break ties between identical seqs,
   /// which cannot happen). 2^40 events per simulator and 2^24 simultaneously
   /// pending events are both orders of magnitude beyond any replay here;
-  /// push() checks the former, acquire_slot() the latter.
+  /// reserve_seqs() checks the former, acquire_slot() the latter.
   struct Node {
     Time at;
     std::uint64_t seq_slot;
@@ -168,6 +198,7 @@ class EventHeap {
 
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
   static constexpr Time kNotRearmed = -1;
+  static constexpr std::uint64_t kFreshSeq = UINT64_MAX;
 
   static bool before(const Node& a, const Node& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -189,6 +220,14 @@ class EventHeap {
       chunks_.push_back(std::make_unique<Chunk>());
     }
     return static_cast<std::uint32_t>(slot_count_++);
+  }
+
+  template <typename F>
+  void insert(Time at, std::uint64_t seq, F&& f) {
+    const std::uint32_t slot = acquire_slot();
+    slot_ref(slot).emplace(std::forward<F>(f));
+    nodes_.push_back(Node{at, (seq << kSlotBits) | slot});
+    sift_up(nodes_.size() - 1);
   }
 
   void sift_up(std::size_t i) {
@@ -249,6 +288,7 @@ class EventHeap {
   std::uint64_t next_seq_ = 0;
   std::uint32_t executing_ = kNoSlot;  ///< slot whose action is on the stack
   Time rearm_at_ = kNotRearmed;        ///< pending rearm_current() request
+  std::uint64_t rearm_seq_ = kFreshSeq;  ///< its reserved seq, if any
   std::size_t slot_count_ = 0;         ///< slots handed out so far
   std::vector<Node> nodes_;            ///< binary heap of (at, seq, slot)
   std::vector<std::unique_ptr<Chunk>> chunks_;  ///< stable action storage

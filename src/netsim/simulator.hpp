@@ -9,10 +9,14 @@
 // InplaceAction payloads). schedule()/schedule_at() forward the callable
 // straight into its pool slot and run() invokes it in place, so the
 // per-event hot path performs one capture construction and — for typical
-// captures — no heap allocation at all.
+// captures — no heap allocation at all. schedule_series() keeps a whole
+// trace replay's worth of pre-timed events as one pending event.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <type_traits>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/time.hpp"
@@ -52,6 +56,25 @@ class Simulator {
   void schedule_at(Time at, F&& action) {
     WEHEY_EXPECTS(at >= now_);
     queue_.push(at, std::forward<F>(action));
+  }
+
+  /// Run `f(k)` at `times[k]` for every k, in order. `times` must be
+  /// nondecreasing and not in the past. The whole series holds one pending
+  /// event, re-armed from element to element, yet every element fires in
+  /// the place a schedule_at(times[k], ...) made now would have: the k-th
+  /// element is keyed with the k-th of `times.size()` sequence numbers
+  /// reserved here. Each element counts as one dispatched event. `f` must
+  /// not call reschedule_current(). An empty series schedules nothing.
+  template <typename F>
+  void schedule_series(std::vector<Time> times, F&& f) {
+    if (times.empty()) return;
+    WEHEY_EXPECTS(times.front() >= now_);
+    WEHEY_EXPECTS(std::is_sorted(times.begin(), times.end()));
+    const std::uint64_t first = queue_.reserve_seqs(times.size());
+    const Time at = times.front();
+    queue_.push_at_seq(at, first,
+                       Series<std::decay_t<F>>{this, std::move(times), first,
+                                               0, std::forward<F>(f)});
   }
 
   /// From within a running event only: schedule the currently executing
@@ -110,6 +133,24 @@ class Simulator {
 
  private:
   enum class Exhausted { kNone, kEvents, kSimTime };
+
+  /// The one pending event of a schedule_series(): fires element `next`,
+  /// then re-arms itself at the following element's time and reserved seq.
+  template <typename Fn>
+  struct Series {
+    Simulator* sim;
+    std::vector<Time> times;
+    std::uint64_t first_seq;
+    std::size_t next;
+    Fn f;
+    void operator()() {
+      const std::size_t k = next++;
+      f(k);
+      if (next < times.size()) {
+        sim->queue_.rearm_current(times[next], first_seq + next);
+      }
+    }
+  };
 
   /// The dispatch loop with observability hooks (out of line so the
   /// common no-recorder path stays a single inlined run_until call).

@@ -15,26 +15,27 @@ UdpReplaySender::UdpReplaySender(netsim::Simulator& sim, UdpConfig cfg,
     : start_(start) {
   WEHEY_EXPECTS(out != nullptr);
   tx_times_.reserve(t.packets.size());
-  std::uint64_t seq = 0;
-  end_ = start;
+  std::vector<std::uint32_t> sizes;
+  sizes.reserve(t.packets.size());
   for (const auto& tp : t.packets) {
-    const Time at = start + tp.offset;
-    Packet pkt;
-    pkt.flow = flow;
-    pkt.policer_key = policer_key;
-    pkt.kind = PacketKind::Data;
-    pkt.size = tp.size + cfg.header_bytes;
-    pkt.dscp = dscp;
-    pkt.seq = seq++;
-    pkt.payload = tp.size;
-    sim.schedule_at(at, [&sim, out, pkt]() mutable {
-      pkt.sent_at = sim.now();
-      out->receive(std::move(pkt));
-    });
-    tx_times_.push_back(at);
-    end_ = at;
+    tx_times_.push_back(start + tp.offset);
+    sizes.push_back(tp.size);
   }
-  scheduled_ = seq;
+  // One series for the whole replay: packet k is built when it is sent.
+  sim.schedule_series(
+      tx_times_, [&sim, out, flow, policer_key, dscp, cfg,
+                  sizes = std::move(sizes)](std::size_t k) {
+        Packet pkt;
+        pkt.flow = flow;
+        pkt.policer_key = policer_key;
+        pkt.kind = PacketKind::Data;
+        pkt.size = sizes[k] + cfg.header_bytes;
+        pkt.dscp = dscp;
+        pkt.seq = k;
+        pkt.payload = sizes[k];
+        pkt.sent_at = sim.now();
+        out->receive(std::move(pkt));
+      });
 }
 
 void UdpReplayReceiver::receive(Packet pkt) {

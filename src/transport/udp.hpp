@@ -34,16 +34,14 @@ class UdpReplaySender {
                   netsim::PacketSink* out, const trace::AppTrace& t,
                   Time start, netsim::FlowId policer_key = 0);
 
-  std::uint64_t packets_scheduled() const { return scheduled_; }
+  std::uint64_t packets_scheduled() const { return tx_times_.size(); }
   const std::vector<Time>& tx_times() const { return tx_times_; }
   Time start() const { return start_; }
-  Time end() const { return end_; }
+  Time end() const { return tx_times_.empty() ? start_ : tx_times_.back(); }
 
  private:
   std::vector<Time> tx_times_;
-  std::uint64_t scheduled_ = 0;
   Time start_ = 0;
-  Time end_ = 0;
 };
 
 class UdpReplayReceiver final : public netsim::PacketSink {

@@ -1,11 +1,14 @@
-// Simulator event queue, queue disciplines, links, demux.
+// Simulator event queue and event series, queue disciplines, links, demux.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "netsim/link.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/queue.hpp"
@@ -160,6 +163,191 @@ TEST(Simulator, RescheduleCurrentOrdersAfterEventsTheActionScheduled) {
   });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// --- schedule_series: one pending event, the order of N ---------------
+
+/// A randomized event workload with heavy timestamp ties (every time lies
+/// on a coarse 1 ms grid): a series, foreign events scheduled before and
+/// after it, series elements and foreign events that schedule same-time
+/// children, a foreign periodic timer re-armed with reschedule_current(),
+/// and a second series scheduled from inside a running event.
+struct SeriesWorkload {
+  std::vector<Time> times;         ///< the series, nondecreasing
+  std::vector<bool> spawns;        ///< element k schedules a same-time child
+  std::vector<Time> before;        ///< foreign events scheduled first
+  std::vector<Time> after;         ///< foreign events scheduled last
+  std::vector<Time> nested_times;  ///< series scheduled by after[0]
+  int timer_ticks = 0;
+};
+
+std::vector<Time> grid_times(Rng& rng, std::size_t n, std::int64_t lo_ms,
+                             std::int64_t hi_ms, bool sorted) {
+  std::vector<Time> times;
+  for (std::size_t i = 0; i < n; ++i) {
+    times.push_back(milliseconds(rng.uniform_int(lo_ms, hi_ms)));
+  }
+  if (sorted) std::sort(times.begin(), times.end());
+  return times;
+}
+
+SeriesWorkload make_series_workload(std::uint64_t seed) {
+  Rng rng(seed);
+  SeriesWorkload w;
+  w.times = grid_times(rng, 300, 0, 30, true);
+  for (std::size_t k = 0; k < w.times.size(); ++k) {
+    w.spawns.push_back(rng.bernoulli(0.2));
+  }
+  w.before = grid_times(rng, 60, 0, 30, false);
+  w.after = grid_times(rng, 60, 0, 30, false);
+  // after[0] schedules the nested series, which must not start before it.
+  w.nested_times = grid_times(rng, 40, 0, 30, true);
+  for (Time& t : w.nested_times) t = std::max(t, w.after[0]);
+  w.timer_ticks = static_cast<int>(rng.uniform_int(20, 40));
+  return w;
+}
+
+using FiringLog = std::vector<std::pair<Time, std::int64_t>>;
+
+/// Schedule `f(k)` at `times[k]` as one series or as one event each.
+template <typename F>
+void schedule_times(Simulator& sim, bool as_series, std::vector<Time> times,
+                    F f) {
+  if (as_series) {
+    sim.schedule_series(std::move(times), f);
+    return;
+  }
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    sim.schedule_at(times[k], [f, k]() mutable { f(k); });
+  }
+}
+
+/// Run `w` and log every firing as (time, tag); tags name the event.
+FiringLog run_series_workload(const SeriesWorkload& w, bool as_series,
+                              const TrialBudget& budget = {},
+                              std::uint64_t* dispatched = nullptr) {
+  Simulator sim;
+  sim.set_trial_budget(budget);
+  FiringLog log;
+  auto fire = [&sim, &log](std::int64_t tag) {
+    log.emplace_back(sim.now(), tag);
+  };
+  int ticks = 0;
+  sim.schedule_at(0, [&] {
+    fire(-1);
+    if (++ticks < w.timer_ticks) sim.reschedule_current(milliseconds(1));
+  });
+  for (std::size_t i = 0; i < w.before.size(); ++i) {
+    sim.schedule_at(w.before[i], [&sim, fire, i] {
+      fire(100'000 + static_cast<std::int64_t>(i));
+      if (i % 3 == 0) {
+        sim.schedule(0, [fire, i] {
+          fire(150'000 + static_cast<std::int64_t>(i));
+        });
+      }
+    });
+  }
+  const std::size_t pending = sim.pending_events();
+  schedule_times(sim, as_series, w.times, [&sim, &w, fire](std::size_t k) {
+    fire(static_cast<std::int64_t>(k));
+    if (w.spawns[k]) {
+      sim.schedule(0, [fire, k] {
+        fire(200'000 + static_cast<std::int64_t>(k));
+      });
+    }
+  });
+  EXPECT_EQ(sim.pending_events() - pending,
+            as_series ? std::size_t{1} : w.times.size());
+  for (std::size_t i = 0; i < w.after.size(); ++i) {
+    sim.schedule_at(w.after[i], [&sim, &w, fire, as_series, i] {
+      fire(300'000 + static_cast<std::int64_t>(i));
+      if (i != 0) return;
+      schedule_times(sim, as_series, w.nested_times, [fire](std::size_t k) {
+        fire(400'000 + static_cast<std::int64_t>(k));
+      });
+    });
+  }
+  sim.run();
+  if (dispatched != nullptr) *dispatched = sim.budget_events_dispatched();
+  return log;
+}
+
+TEST(SimulatorSeries, FiresInTheOrderOfIndividualEvents) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const SeriesWorkload w = make_series_workload(seed);
+    const FiringLog individual = run_series_workload(w, false);
+    const FiringLog series = run_series_workload(w, true);
+    ASSERT_GT(individual.size(), w.times.size() + w.nested_times.size());
+    ASSERT_EQ(series, individual) << "seed " << seed;
+  }
+}
+
+TEST(SimulatorSeries, EventBudgetStopsMidSeriesAtTheSameEvent) {
+  const SeriesWorkload w = make_series_workload(7);
+  for (std::uint64_t cap : {1u, 57u, 333u}) {
+    TrialBudget budget;
+    budget.max_events = cap;
+    std::uint64_t dispatched_individual = 0;
+    std::uint64_t dispatched_series = 0;
+    const FiringLog individual =
+        run_series_workload(w, false, budget, &dispatched_individual);
+    const FiringLog series =
+        run_series_workload(w, true, budget, &dispatched_series);
+    EXPECT_EQ(dispatched_individual, cap);
+    EXPECT_EQ(dispatched_series, cap);
+    EXPECT_EQ(series, individual) << "cap " << cap;
+  }
+}
+
+TEST(SimulatorSeries, ClearMidSeriesDropsTheRest) {
+  Simulator sim;
+  std::vector<std::size_t> fired;
+  auto token = std::make_shared<int>(0);
+  std::vector<Time> times;
+  for (int i = 1; i <= 10; ++i) times.push_back(milliseconds(i));
+  sim.schedule_series(std::move(times), [&fired, token](std::size_t k) {
+    fired.push_back(k);
+  });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run(milliseconds(5));
+  EXPECT_EQ(fired, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.clear();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(token.use_count(), 1);  // the series' state was destroyed
+  sim.run();
+  EXPECT_EQ(fired.size(), 5u);
+}
+
+TEST(SimulatorSeries, EmptySeriesSchedulesNothing) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(milliseconds(1), [&] { order.push_back(1); });
+  sim.schedule_series({}, [&](std::size_t) { order.push_back(-1); });
+  sim.schedule(milliseconds(1), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// A reserved sequence number keys an event as if it had been pushed at
+// reservation time. Taking none consumes none: the next push gets the
+// number it would have had (what an empty series relies on; ordering
+// alone cannot show an unused number, so the counter is read directly).
+TEST(EventHeap, ReservedSeqsOrderAsIfPushedAtReservation) {
+  EventHeap heap;
+  std::vector<int> order;
+  Time now = 0;
+  EXPECT_EQ(heap.reserve_seqs(0), 0u);
+  heap.push(1, [&] { order.push_back(0); });
+  const std::uint64_t first = heap.reserve_seqs(2);
+  EXPECT_EQ(first, 1u);
+  heap.push(1, [&] { order.push_back(3); });
+  EXPECT_EQ(heap.reserve_seqs(0), 4u);
+  heap.push_at_seq(1, first + 1, [&] { order.push_back(2); });
+  heap.push_at_seq(1, first, [&] { order.push_back(1); });
+  heap.run_until(-1, now);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(InplaceAction, InlineCaptureAvoidsHeapAndRunsDestructor) {

@@ -1,6 +1,7 @@
 // FigureOneNetwork features beyond the standard replay flow: traceroute
-// synthesis, route churn, the jittered access link, QUIC replays, and
-// ReplayMeasurement helpers used by the figure benches.
+// synthesis, route churn, the jittered access link, QUIC replays, the
+// one-pending-event replay schedule, and ReplayMeasurement helpers used by
+// the figure benches.
 #include <gtest/gtest.h>
 
 #include "experiments/network.hpp"
@@ -8,6 +9,7 @@
 #include "stats/descriptive.hpp"
 #include "topology/construction.hpp"
 #include "trace/apps.hpp"
+#include "trace/background.hpp"
 
 namespace wehey::experiments {
 namespace {
@@ -94,6 +96,35 @@ TEST(NetworkQuic, ReplayThrottledLikeTcp) {
   EXPECT_LT(r1.avg_throughput_bps, derived.trace_rate);
   EXPECT_GT(r1.meas.lost_packets(), 0u);
   EXPECT_GT(r2.meas.transmitted_packets(), 100u);
+}
+
+// Replays pre-time one event per trace packet; each replay (and each
+// background workload) must still hold exactly one pending event, however
+// long its trace, or the event heap grows with the trace again.
+TEST(NetworkReplay, EachReplayHoldsOnePendingEvent) {
+  netsim::Simulator sim;
+  Rng rng(19);
+  FigureOneNetwork net(sim, basic_params(), rng);
+  Rng trace_rng(23);
+  const Time duration = seconds(45);
+  const auto tcp = trace::make_tcp_app_trace(duration, trace_rng);
+  const auto udp = trace::make_udp_app_trace("Zoom", duration, trace_rng);
+  trace::BackgroundConfig bg;
+  bg.duration = duration;
+  const auto flows = trace::generate_background(bg, trace_rng);
+  ASSERT_GT(tcp.packets.size(), 1000u);
+  ASSERT_GT(udp.packets.size(), 1000u);
+  ASSERT_GT(flows.size(), 100u);
+
+  std::size_t pending = sim.pending_events();
+  net.start_tcp_replay(1, tcp, 0, transport::TcpConfig{}, 3);
+  EXPECT_EQ(sim.pending_events(), ++pending);
+  net.start_udp_replay(2, udp, 0);
+  EXPECT_EQ(sim.pending_events(), ++pending);
+  net.start_quic_replay(2, tcp, milliseconds(5));
+  EXPECT_EQ(sim.pending_events(), ++pending);
+  net.attach_background(1, flows);
+  EXPECT_EQ(sim.pending_events(), ++pending);
 }
 
 TEST(Measure, ThroughputOverTimeWindows) {
